@@ -163,7 +163,7 @@ LoadGenReport run_open_loop(const std::string& host, int port,
   return report;
 }
 
-std::string load_gen_report_json(const LoadGenReport& report) {
+util::JsonWriter load_gen_report_json(const LoadGenReport& report) {
   util::JsonWriter json;
   json.field("rate_per_sec", report.offered_rate)
       .field("schedule", report.poisson ? "poisson" : "uniform")
@@ -177,7 +177,7 @@ std::string load_gen_report_json(const LoadGenReport& report) {
       .field("p95_ms", report.latency.quantile(0.95))
       .field("p99_ms", report.latency.quantile(0.99))
       .field("p999_ms", report.latency.quantile(0.999));
-  return json.str();
+  return json;
 }
 
 }  // namespace saim::bench

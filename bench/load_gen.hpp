@@ -23,6 +23,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "util/jsonl.hpp"
 
 namespace saim::bench {
 
@@ -63,10 +64,10 @@ LoadGenReport run_open_loop(const std::string& host, int port,
                             const LoadGenOptions& options,
                             const JobLineFn& make_line);
 
-/// The report as a JSON object for BENCH_service.json's "open_loop"
-/// rows: rate_per_sec, schedule, sent, completed, achieved_rate,
-/// seconds, and p50/p95/p99/p99.9 (+ mean) of the scheduled-send
-/// latency.
-std::string load_gen_report_json(const LoadGenReport& report);
+/// The report as the fields of BENCH_service.json's "open_loop" rows:
+/// rate_per_sec, schedule, sent, completed, achieved_rate, seconds, and
+/// p50/p95/p99/p99.9 (+ mean) of the scheduled-send latency. Returned as
+/// an open writer so the caller can append its own fields to the row.
+util::JsonWriter load_gen_report_json(const LoadGenReport& report);
 
 }  // namespace saim::bench

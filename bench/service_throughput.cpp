@@ -27,7 +27,9 @@
 //     holds by construction and the JSON records it.
 //   * sharded — the same mixed stream as JSONL lines through the
 //     multi-process front door (service/shard_router + saim_serve
-//     children, 1 worker each) at 1/2/4 shards and over BOTH transports:
+//     children, 1 worker each, driven by the Supervisor pump that
+//     saim_shard ships, self-healing off) at 1/2/4 shards and over BOTH
+//     transports:
 //     fork/exec pipes (transport "pipe") and loopback TCP against
 //     `saim_serve --listen` servers (transport "socket"), so pipe-vs-TCP
 //     overhead is tracked release over release. Throughput should scale
@@ -43,17 +45,18 @@
 //     under an open-loop generator (bench/load_gen.hpp): jobs arrive on
 //     a fixed Poisson schedule at several rates and latency is measured
 //     from each job's SCHEDULED send time, so queueing delay at
-//     saturation is measured, not coordinated-omitted away.
-//   * front_door — the same closed-loop sharded wave through ONE
-//     `saim_serve --listen` server, event loop vs --threaded: the
-//     event-driven default must not cost throughput against the
-//     thread-per-connection server it replaces.
+//     saturation is measured, not coordinated-omitted away. Each rate
+//     runs against a fresh server whose own stage latencies (submit to
+//     response, response to result line written) are read back with a
+//     {"cmd":"stats"} probe, so the client-visible latency can be held
+//     against what the server itself accounts for.
 //   * hedge — the mixed stream through 2 shards with hedging on
 //     (R=2, window >= jobs so everything is in flight), then one shard is
 //     SIGSTOPped mid-wave: no EOF ever fires, so hedged re-dispatch to
 //     the replica is the ONLY thing that can finish the stopped shard's
 //     jobs. The phase records that the wave completed and how many hedge
 //     copies won.
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -75,9 +78,9 @@
 #include "service/process_child.hpp"
 #include "service/service_stats.hpp"
 #include "service/request_builders.hpp"
-#include "service/shard_driver.hpp"
 #include "service/shard_router.hpp"
 #include "service/solve_service.hpp"
+#include "service/supervisor.hpp"
 #include "util/cli.hpp"
 #include "util/jsonl.hpp"
 #include "util/parallel.hpp"
@@ -196,39 +199,31 @@ std::vector<std::string> make_job_lines(std::size_t jobs,
   return lines;
 }
 
-/// Spawns `shards` pipe children (saim_serve --stream) as endpoints.
-std::vector<std::unique_ptr<net::ShardEndpoint>> spawn_pipe_fleet(
-    const std::string& serve, std::size_t shards) {
-  std::vector<std::unique_ptr<net::ShardEndpoint>> children;
-  for (std::size_t s = 0; s < shards; ++s) {
-    children.push_back(std::make_unique<service::ProcessChild>(
-        std::vector<std::string>{serve, "--stream", "--workers", "1",
-                                 "--cache", "0"}));
-  }
-  return children;
+/// The Supervisor pump saim_shard ships, over `serve --stream` pipe
+/// children (1 worker, cache off), with self-healing off: a dead shard
+/// stays dead and a stopped one is never pinged away.
+service::SupervisorOptions static_fleet_options(const std::string& serve) {
+  service::SupervisorOptions options;
+  options.local_argv = {serve, "--stream", "--workers", "1", "--cache", "0"};
+  options.respawn = false;
+  options.reconnect_remotes = false;
+  options.ping_ms = 0;
+  return options;
 }
 
 /// Spawns one loopback `saim_serve --listen` server (streaming, cache
-/// off) with `extra_args` appended, parks the process in `servers`, and
-/// returns its bound port — 0 when it fails to come up in time.
+/// off), parks the process in `servers`, and returns its bound port — 0
+/// when it fails to come up in time.
 int spawn_listen_server(
     const std::string& serve, const std::string& tag, std::size_t workers,
-    const std::vector<std::string>& extra_args,
     std::vector<std::unique_ptr<service::ProcessChild>>* servers) {
   const std::string port_file = "bench_listen_port_" + tag + ".tmp";
   std::remove(port_file.c_str());
-  std::vector<std::string> argv{serve,
-                                "--listen",
-                                "127.0.0.1:0",
-                                "--port-file",
-                                port_file,
-                                "--stream",
-                                "--workers",
-                                std::to_string(workers),
-                                "--cache",
-                                "0"};
-  argv.insert(argv.end(), extra_args.begin(), extra_args.end());
-  servers->push_back(std::make_unique<service::ProcessChild>(argv));
+  servers->push_back(std::make_unique<service::ProcessChild>(
+      std::vector<std::string>{serve, "--listen", "127.0.0.1:0",
+                               "--port-file", port_file, "--stream",
+                               "--workers", std::to_string(workers),
+                               "--cache", "0"}));
   int port = 0;
   for (int spin = 0; spin < 5000 && port == 0; ++spin) {
     std::ifstream pf(port_file);
@@ -241,38 +236,46 @@ int spawn_listen_server(
   return port;
 }
 
-/// Spawns `shards` loopback `saim_serve --listen` servers and connects a
-/// SocketChild to each. The listener processes ride along in `servers`
-/// (torn down by the caller when the endpoints close). Returns an empty
-/// endpoint vector when a server fails to come up in time.
-std::vector<std::unique_ptr<net::ShardEndpoint>> spawn_socket_fleet(
+/// Spawns `shards` loopback `saim_serve --listen` servers (1 worker
+/// each) and returns their ports. The server processes ride along in
+/// `servers` (torn down by the caller). Returns an empty vector when a
+/// server fails to come up in time.
+std::vector<int> spawn_socket_fleet(
     const std::string& serve, std::size_t shards,
-    std::vector<std::unique_ptr<service::ProcessChild>>* servers,
-    const std::vector<std::string>& extra_args = {}) {
-  std::vector<std::unique_ptr<net::ShardEndpoint>> endpoints;
+    std::vector<std::unique_ptr<service::ProcessChild>>* servers) {
+  std::vector<int> ports;
   for (std::size_t s = 0; s < shards; ++s) {
-    const int port = spawn_listen_server(serve, std::to_string(s),
-                                         /*workers=*/1, extra_args, servers);
+    const int port =
+        spawn_listen_server(serve, std::to_string(s), /*workers=*/1, servers);
     if (port == 0) return {};
-    endpoints.push_back(
-        std::make_unique<net::SocketChild>("127.0.0.1", port));
+    ports.push_back(port);
   }
-  return endpoints;
+  return ports;
 }
 
-/// Routes `lines` through an already-spawned fleet of endpoints (1
-/// worker each); returns wall seconds, or a negative value when any job
-/// failed. `router_options` carries replication/hedging knobs (its shard
-/// count is overwritten); the router's final stats land in `stats_out`.
-double run_sharded_wave(
-    std::vector<std::unique_ptr<net::ShardEndpoint>> children,
-    const std::vector<std::string>& lines,
-    obs::HistogramSnapshot* latency = nullptr,
-    service::RouterOptions router_options = {},
-    service::ShardRouter::Stats* stats_out = nullptr) {
-  if (children.empty()) return -1.0;
-  router_options.shards = children.size();
+/// Routes `lines` through `shards` shards under the Supervisor pump:
+/// local `serve` pipe children, or — when `ports` is nonempty — one
+/// loopback TCP session per listed server. Returns wall seconds, or a
+/// negative value when any job failed. `router_options` carries
+/// replication/hedging knobs (its shard count is overwritten); the
+/// router's final stats land in `stats_out`.
+double run_sharded_wave(const std::string& serve, std::size_t shards,
+                        const std::vector<int>& ports,
+                        const std::vector<std::string>& lines,
+                        obs::HistogramSnapshot* latency = nullptr,
+                        service::RouterOptions router_options = {},
+                        service::ShardRouter::Stats* stats_out = nullptr) {
+  if (shards == 0) return -1.0;
+  router_options.shards = shards;
   service::ShardRouter router(router_options);
+  service::Supervisor fleet(router, static_fleet_options(serve));
+  for (std::size_t s = 0; s < shards; ++s) {
+    if (ports.empty()) {
+      fleet.attach_local(s);
+    } else {
+      fleet.attach_remote(s, "127.0.0.1", ports[s]);
+    }
+  }
 
   util::WallTimer timer;
   std::size_t line_no = 0;
@@ -281,7 +284,7 @@ double run_sharded_wave(
     emitted += router.accept_line(line, ++line_no).size();
   }
   while (!router.idle()) {
-    emitted += service::pump_shards(router, children, 2).size();
+    emitted += fleet.pump(2).size();
     if (router.live_shards() == 0) break;
     if (timer.seconds() > 300.0) return -1.0;  // wedged child: fail loudly
   }
@@ -293,9 +296,28 @@ double run_sharded_wave(
     }
   }
   if (stats_out) *stats_out = router.stats();
-  for (auto& child : children) child->shutdown_input();
   if (router.any_error() || emitted != lines.size()) return -1.0;
   return seconds;
+}
+
+/// The server's own "latency" object (docs/PROTOCOL.md stats reply),
+/// read with one {"cmd":"stats"} probe on a fresh connection. Null when
+/// the server does not answer within ~5 s.
+util::JsonValue probe_server_latency(int port) {
+  net::SocketChild probe("127.0.0.1", port);
+  probe.send_line(R"({"cmd":"stats","id":"probe"})");
+  for (int spin = 0; spin < 50 && !probe.eof(); ++spin) {
+    probe.pump_writes();
+    for (const auto& line : probe.read_lines()) {
+      const util::JsonValue reply = util::parse_json(line);
+      if (const auto* service = reply.find("service")) {
+        if (const auto* latency = service->find("latency")) return *latency;
+      }
+    }
+    pollfd pfd{probe.read_fd(), POLLIN, 0};
+    ::poll(&pfd, 1, 100);
+  }
+  return {};
 }
 
 }  // namespace
@@ -543,8 +565,8 @@ int main(int argc, char** argv) {
     };
     for (std::size_t i = 0; i < 3; ++i) {
       obs::HistogramSnapshot latency;
-      const double seconds = run_sharded_wave(
-          spawn_pipe_fleet(serve, shard_counts[i]), lines, &latency);
+      const double seconds =
+          run_sharded_wave(serve, shard_counts[i], {}, lines, &latency);
       pipe_jps[i] = seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
       std::printf("  pipe   %zu shard%s: %6.2f jobs/sec (%.2fs, round-trip "
                   "p50/p95 %.0f/%.0f ms)\n",
@@ -558,8 +580,11 @@ int main(int argc, char** argv) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
       std::vector<std::unique_ptr<service::ProcessChild>> servers;
       obs::HistogramSnapshot latency;
-      const double seconds = run_sharded_wave(
-          spawn_socket_fleet(serve, shards, &servers), lines, &latency);
+      const auto ports = spawn_socket_fleet(serve, shards, &servers);
+      const double seconds =
+          ports.empty()
+              ? -1.0
+              : run_sharded_wave(serve, shards, ports, lines, &latency);
       for (auto& server : servers) server->terminate();
       const double jps =
           seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
@@ -584,92 +609,76 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------ open-loop phase
-  // The event-driven front door under fixed arrival rates. One server,
-  // 4 workers; each rate gets a fresh connection and a fresh Poisson
-  // schedule of tiny hot-instance jobs. Latency is measured from each
-  // job's SCHEDULED send time (bench/load_gen.hpp), so when a rate
-  // exceeds capacity the growing queue shows up as growing quantiles
-  // instead of silently stretching the schedule.
+  // The event-driven front door under fixed arrival rates. Each rate
+  // gets a fresh 4-worker server, connection and Poisson schedule of
+  // tiny hot-instance jobs. Latency is measured from each job's
+  // SCHEDULED send time (bench/load_gen.hpp), so when a rate exceeds
+  // capacity the growing queue shows up as growing quantiles instead of
+  // silently stretching the schedule. The server's own submit-to-ready
+  // and ready-to-written medians ride along in each row: what the client
+  // sees beyond their sum is transport and reactor overhead.
   util::JsonWriter open_loop_json;
   if (::access(serve.c_str(), X_OK) != 0) {
     std::printf("  open_loop: skipped ('%s' not executable)\n", serve.c_str());
     open_loop_json.field("skipped", true);
   } else {
-    std::vector<std::unique_ptr<service::ProcessChild>> servers;
-    const int port = spawn_listen_server(serve, "openloop", /*workers=*/4,
-                                         {}, &servers);
-    if (port == 0) {
+    const double rates[] = {50.0, 100.0, 200.0};
+    std::string rows = "[";
+    bool all_completed = true;
+    bool started = true;
+    for (std::size_t r = 0; r < 3 && started; ++r) {
+      std::vector<std::unique_ptr<service::ProcessChild>> servers;
+      const int port =
+          spawn_listen_server(serve, "openloop", /*workers=*/4, &servers);
+      started = port != 0;
+      if (!started) break;
+      bench::LoadGenOptions options;
+      options.rate_per_sec = rates[r];
+      options.total_jobs = static_cast<std::size_t>(rates[r] * 2.0);
+      options.seed = r + 1;
+      const auto report = bench::run_open_loop(
+          "127.0.0.1", port, options, [&](std::size_t i) {
+            util::JsonWriter line;
+            line.field("id", "ol" + std::to_string(i))
+                .field("gen", "qkp:30-25-" + std::to_string(i % 4 + 1))
+                .field("iterations", std::uint64_t{2})
+                .field("sweeps", std::uint64_t{30})
+                .field("seed", static_cast<std::uint64_t>(i + 1))
+                .field("cache", false);
+            return line.take();
+          });
+      const util::JsonValue server_latency = probe_server_latency(port);
+      const auto server_p50 = [&](const char* stage) {
+        const auto* obj = server_latency.find(stage);
+        const auto* p50 = obj ? obj->find("p50_ms") : nullptr;
+        return p50 ? p50->as_double() : -1.0;
+      };
+      const double total_p50 = server_p50("total_ms");
+      const double emit_p50 = server_p50("emit_ms");
+      for (auto& server : servers) server->terminate();
+      all_completed = all_completed && report.completed_all();
+      std::printf("  open loop %5.0f jobs/sec offered: %zu/%zu done, "
+                  "sched-send p50/p99/p99.9 %.1f/%.1f/%.1f ms (server "
+                  "total/emit p50 %.2f/%.2f ms)\n",
+                  rates[r], report.completed, report.sent,
+                  report.latency.quantile(0.50),
+                  report.latency.quantile(0.99),
+                  report.latency.quantile(0.999), total_p50, emit_p50);
+      auto row = bench::load_gen_report_json(report);
+      row.field("server_total_p50_ms", total_p50)
+          .field("server_emit_p50_ms", emit_p50);
+      rows += (r ? "," : "") + row.str();
+    }
+    rows += "]";
+    if (!started) {
       std::printf("  open_loop: skipped (server failed to start)\n");
       open_loop_json.field("skipped", true);
     } else {
-      const double rates[] = {50.0, 100.0, 200.0};
-      std::string rows = "[";
-      bool all_completed = true;
-      for (std::size_t r = 0; r < 3; ++r) {
-        bench::LoadGenOptions options;
-        options.rate_per_sec = rates[r];
-        options.total_jobs = static_cast<std::size_t>(rates[r] * 2.0);
-        options.seed = r + 1;
-        const auto report = bench::run_open_loop(
-            "127.0.0.1", port, options, [&](std::size_t i) {
-              util::JsonWriter line;
-              line.field("id", "ol" + std::to_string(i))
-                  .field("gen",
-                         "qkp:30-25-" + std::to_string(i % 4 + 1))
-                  .field("iterations", std::uint64_t{2})
-                  .field("sweeps", std::uint64_t{30})
-                  .field("seed", static_cast<std::uint64_t>(i + 1))
-                  .field("cache", false);
-              return line.take();
-            });
-        all_completed = all_completed && report.completed_all();
-        std::printf("  open loop %5.0f jobs/sec offered: %zu/%zu done, "
-                    "sched-send p50/p99/p99.9 %.1f/%.1f/%.1f ms\n",
-                    rates[r], report.completed, report.sent,
-                    report.latency.quantile(0.50),
-                    report.latency.quantile(0.99),
-                    report.latency.quantile(0.999));
-        rows += (r ? "," : "") + bench::load_gen_report_json(report);
-      }
-      rows += "]";
-      for (auto& server : servers) server->terminate();
       open_loop_json.field("skipped", false)
           .field("workers", std::uint64_t{4})
           .field("all_completed", all_completed)
           .raw_field("rates", rows);
     }
-  }
-
-  // ----------------------------------------------------- front-door phase
-  // Closed-loop control experiment for the event-driven default: the
-  // same wave through one --listen server, event loop vs --threaded.
-  // Identical protocol bytes by construction; this pins the throughput.
-  util::JsonWriter front_door_json;
-  if (::access(serve.c_str(), X_OK) != 0) {
-    front_door_json.field("skipped", true);
-  } else {
-    const auto lines = make_job_lines(jobs, instances, n, iterations, sweeps);
-    double flavour_jps[2] = {0.0, 0.0};
-    const char* flavour_names[] = {"event", "threaded"};
-    for (int f = 0; f < 2; ++f) {
-      std::vector<std::string> extra;
-      if (f == 1) extra.push_back("--threaded");
-      std::vector<std::unique_ptr<service::ProcessChild>> servers;
-      const double seconds = run_sharded_wave(
-          spawn_socket_fleet(serve, 1, &servers, extra), lines);
-      for (auto& server : servers) server->terminate();
-      flavour_jps[f] =
-          seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
-      std::printf("  front door (%s): %6.2f jobs/sec\n", flavour_names[f],
-                  flavour_jps[f]);
-    }
-    const double ratio =
-        flavour_jps[1] > 0 ? flavour_jps[0] / flavour_jps[1] : 0.0;
-    std::printf("  event loop vs threaded: %.2fx\n", ratio);
-    front_door_json.field("skipped", false)
-        .field("event_jobs_per_sec", flavour_jps[0])
-        .field("threaded_jobs_per_sec", flavour_jps[1])
-        .field("event_over_threaded", ratio);
   }
 
   // ----------------------------------------------------- skewed-key phase
@@ -699,8 +708,8 @@ int main(int argc, char** argv) {
       router_options.hot_key_depth = replicas == 2 ? 2 : 0;
       service::ShardRouter::Stats stats;
       const double seconds =
-          run_sharded_wave(spawn_pipe_fleet(serve, 2), hot_lines,
-                           /*latency=*/nullptr, router_options, &stats);
+          run_sharded_wave(serve, 2, {}, hot_lines, /*latency=*/nullptr,
+                           router_options, &stats);
       jps[replicas - 1] =
           seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
       if (replicas == 2) replica_hits = stats.replica_hits;
@@ -730,13 +739,15 @@ int main(int argc, char** argv) {
     hedge_json.field("skipped", true);
   } else {
     const auto lines = make_job_lines(jobs, instances, n, iterations, sweeps);
-    auto children = spawn_pipe_fleet(serve, 2);
     service::RouterOptions router_options;
     router_options.shards = 2;
     router_options.window = jobs;
     router_options.replicas = 2;
     router_options.hedge_min_ms = 25.0;
     service::ShardRouter router(router_options);
+    service::Supervisor fleet(router, static_fleet_options(serve));
+    fleet.attach_local(0);
+    fleet.attach_local(1);
 
     util::WallTimer timer;
     std::size_t line_no = 0;
@@ -746,7 +757,7 @@ int main(int argc, char** argv) {
     }
     // Mid-wave: a quarter of the results are out, both shards are busy.
     while (emitted < jobs / 4 && timer.seconds() < 300.0) {
-      emitted += service::pump_shards(router, children, 2).size();
+      emitted += fleet.pump(2).size();
     }
     const std::size_t victim =
         router.inflight(0) + router.pending(0) >=
@@ -754,15 +765,14 @@ int main(int argc, char** argv) {
             ? 0
             : 1;
     auto* victim_child =
-        dynamic_cast<service::ProcessChild*>(children[victim].get());
+        dynamic_cast<service::ProcessChild*>(fleet.endpoint(victim));
     if (victim_child) ::kill(victim_child->pid(), SIGSTOP);
     while (!router.idle() && timer.seconds() < 300.0) {
-      emitted += service::pump_shards(router, children, 2).size();
+      emitted += fleet.pump(2).size();
       if (router.live_shards() == 0) break;
     }
     const double seconds = timer.seconds();
     if (victim_child) ::kill(victim_child->pid(), SIGCONT);
-    for (auto& child : children) child->shutdown_input();
 
     const auto& stats = router.stats();
     const bool completed =
@@ -797,7 +807,6 @@ int main(int argc, char** argv) {
       .raw_field("warm", warm_json.str())
       .raw_field("sharded", sharded_json.str())
       .raw_field("open_loop", open_loop_json.str())
-      .raw_field("front_door", front_door_json.str())
       .raw_field("skewed", skewed_json.str())
       .raw_field("hedge", hedge_json.str());
 

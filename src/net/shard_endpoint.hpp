@@ -1,7 +1,7 @@
 // net::ShardEndpoint — what the sharding layer needs from a transport.
 //
-// ShardRouter is pure routing state and shard_driver/Supervisor are pure
-// pump logic; everything they ask of a shard is line-oriented: queue a
+// ShardRouter is pure routing state and the Supervisor is pure pump
+// logic; everything they ask of a shard is line-oriented: queue a
 // line, flush, read complete lines, learn about EOF, offer a pollable
 // fd. This interface is that contract, so the fleet can mix transports
 // freely:

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <deque>
 #include <utility>
 #include <vector>
@@ -14,9 +15,13 @@ namespace saim::service {
 
 namespace {
 
-/// The auth handshake line cap, matching the threaded server: a peer
-/// that streams an endless first "line" is cut off, not buffered.
+/// The auth handshake line cap: a peer that streams an endless first
+/// "line" is cut off, not buffered.
 constexpr std::size_t kMaxAuthLineBytes = 4096;
+
+/// Poll timeout: only the auth, idle and shutdown-grace deadlines need
+/// the clock; completions and socket events interrupt the wait.
+constexpr int kHousekeepingTickMs = 100;
 
 /// Exactly {"auth":"<token>"} — wrong token, no auth field, malformed
 /// JSON all fail closed.
@@ -34,6 +39,7 @@ bool auth_line_ok(const std::string& line, const std::string& token) {
 }  // namespace
 
 struct EventServer::Client {
+  std::uint64_t serial = 0;
   net::Connection conn;
   /// Null while the auth handshake is outstanding: an unauthenticated
   /// peer never reaches the parser or the service.
@@ -88,22 +94,45 @@ int EventServer::run() {
   loop_.add_fd(listener_.fd(), net::EventLoop::kRead,
                [this](std::uint32_t) { accept_pending(); });
   while (!done_) {
-    // 2 ms while completions may be pending (the same cadence as the
-    // threaded emitter thread, so emit latency matches), 100 ms when
-    // only timeouts need the clock.
-    loop_.run_once(any_needs_sweep() ? 2 : 100);
+    loop_.run_once(kHousekeepingTickMs);
     if (stop_requested_.exchange(false)) begin_shutdown();
-    sweep_sessions();
+    serve_ready();
     housekeeping();
   }
   return any_error_ ? 1 : 0;
 }
 
-bool EventServer::any_needs_sweep() const {
-  for (const auto& [fd, client] : clients_) {
-    if (client->core && client->core->needs_poll()) return true;
+void EventServer::start_session(Client& client) {
+  const std::uint64_t serial = client.serial;
+  client.core = std::make_unique<StreamSessionCore>(
+      service_, options_.session, [this, serial] {
+        {
+          util::MutexLock lock(ready_mutex_);
+          ready_.push_back(serial);
+        }
+        loop_.wakeup();
+      });
+}
+
+void EventServer::serve_ready() {
+  std::vector<std::uint64_t> serials;
+  {
+    util::MutexLock lock(ready_mutex_);
+    serials.swap(ready_);
   }
-  return false;
+  // One pass per woken client, however many of its jobs finished.
+  std::sort(serials.begin(), serials.end());
+  serials.erase(std::unique(serials.begin(), serials.end()), serials.end());
+  for (const std::uint64_t serial : serials) {
+    // Closed already (its job finished after the peer left): no-op.
+    const auto it = clients_.find(serial);
+    if (it == clients_.end()) continue;
+    Client& client = *it->second;
+    std::vector<std::string> lines;
+    client.core->poll_emittable(lines);
+    for (auto& line : lines) client.conn.send_line(std::move(line));
+    update_client(client);  // may destroy the client
+  }
 }
 
 void EventServer::accept_pending() {
@@ -120,28 +149,26 @@ void EventServer::accept_pending() {
       continue;
     }
     auto client = std::make_unique<Client>();
+    const std::uint64_t serial = ++next_serial_;
+    client->serial = serial;
     client->conn = net::Connection(*fd);
     client->awaiting_auth = !options_.auth_token.empty();
-    if (!client->awaiting_auth) {
-      client->core =
-          std::make_unique<StreamSessionCore>(service_, options_.session);
-    }
+    if (!client->awaiting_auth) start_session(*client);
     client->accepted_at = std::chrono::steady_clock::now();
     client->last_activity = client->accepted_at;
-    const int cfd = client->conn.fd();
-    clients_.emplace(cfd, std::move(client));
+    clients_.emplace(serial, std::move(client));
     accepted_.fetch_add(1, std::memory_order_relaxed);
     accepted_metric_.add();
     open_metric_.set(static_cast<double>(clients_.size()));
-    loop_.add_fd(cfd, net::EventLoop::kRead,
-                 [this, cfd](std::uint32_t ready) {
-                   on_client_event(cfd, ready);
+    loop_.add_fd(*fd, net::EventLoop::kRead,
+                 [this, serial](std::uint32_t ready) {
+                   on_client_event(serial, ready);
                  });
   }
 }
 
-void EventServer::on_client_event(int fd, std::uint32_t ready) {
-  const auto it = clients_.find(fd);
+void EventServer::on_client_event(std::uint64_t serial, std::uint32_t ready) {
+  const auto it = clients_.find(serial);
   if (it == clients_.end()) return;
   Client& client = *it->second;
   if (ready & net::EventLoop::kWrite) client.conn.pump_writes();
@@ -179,15 +206,14 @@ void EventServer::process_pending_lines(Client& client) {
     if (client.awaiting_auth) {
       if (line.size() > kMaxAuthLineBytes ||
           !auth_line_ok(line, options_.auth_token)) {
-        // Same wording and fate as the threaded path: closed before any
-        // job line reaches the parser, the service, or the filesystem.
+        // Closed before any job line reaches the parser, the service,
+        // or the filesystem.
         util::log_warn() << "saim_serve: closed unauthenticated connection";
         client.kill = true;
         return;
       }
       client.awaiting_auth = false;
-      client.core =
-          std::make_unique<StreamSessionCore>(service_, options_.session);
+      start_session(client);
       continue;
     }
     std::vector<std::string> replies;
@@ -195,8 +221,8 @@ void EventServer::process_pending_lines(Client& client) {
     for (auto& reply : replies) client.conn.send_line(std::move(reply));
     if (!keep_reading) {
       // {"cmd":"shutdown"}: this session's intake is over (its bye
-      // barrier drains through the sweep), and the whole server begins
-      // the graceful stop.
+      // barrier drains once everything before it has), and the whole
+      // server begins the graceful stop.
       client.input_closed = true;
       client.pending_lines.clear();
       client.core->finish_input();
@@ -257,27 +283,10 @@ bool EventServer::update_client(Client& client) {
   return true;
 }
 
-void EventServer::sweep_sessions() {
-  std::vector<int> fds;
-  fds.reserve(clients_.size());
-  for (const auto& [fd, client] : clients_) fds.push_back(fd);
-  for (const int fd : fds) {
-    const auto it = clients_.find(fd);
-    if (it == clients_.end()) continue;
-    Client& client = *it->second;
-    if (client.core && client.core->needs_poll()) {
-      std::vector<std::string> lines;
-      client.core->poll_emittable(lines);
-      for (auto& line : lines) client.conn.send_line(std::move(line));
-    }
-    update_client(client);  // may destroy the client
-  }
-}
-
 void EventServer::housekeeping() {
   const auto now = std::chrono::steady_clock::now();
-  std::vector<int> expired;
-  for (const auto& [fd, client_ptr] : clients_) {
+  std::vector<std::uint64_t> expired;
+  for (const auto& [serial, client_ptr] : clients_) {
     const Client& client = *client_ptr;
     if (client.awaiting_auth && options_.auth_timeout_ms > 0 &&
         now - client.accepted_at >
@@ -285,7 +294,7 @@ void EventServer::housekeeping() {
       util::log_warn()
           << "saim_serve: dropped connection (no auth within "
           << options_.auth_timeout_ms << " ms)";
-      expired.push_back(fd);
+      expired.push_back(serial);
       continue;
     }
     if (options_.idle_timeout_ms > 0 && !client.input_closed &&
@@ -295,11 +304,11 @@ void EventServer::housekeeping() {
             std::chrono::milliseconds(options_.idle_timeout_ms)) {
       util::log_warn() << "saim_serve: dropped idle connection ("
                        << options_.idle_timeout_ms << " ms)";
-      expired.push_back(fd);
+      expired.push_back(serial);
     }
   }
-  for (const int fd : expired) {
-    const auto it = clients_.find(fd);
+  for (const std::uint64_t serial : expired) {
+    const auto it = clients_.find(serial);
     if (it == clients_.end()) continue;
     timed_out_.fetch_add(1, std::memory_order_relaxed);
     timed_out_metric_.add();
@@ -308,14 +317,8 @@ void EventServer::housekeeping() {
   if (stopping_ && now >= grace_deadline_ && !clients_.empty()) {
     // Grace over: whatever is still here was blocked on a client that
     // stopped reading — its remaining output is forfeit (that client
-    // was not consuming it anyway), same policy as the threaded server.
-    std::vector<int> fds;
-    fds.reserve(clients_.size());
-    for (const auto& [fd, client] : clients_) fds.push_back(fd);
-    for (const int fd : fds) {
-      const auto it = clients_.find(fd);
-      if (it != clients_.end()) close_client(*it->second);
-    }
+    // was not consuming it anyway).
+    while (!clients_.empty()) close_client(*clients_.begin()->second);
   }
   if (stopping_ && clients_.empty()) done_ = true;
 }
@@ -327,27 +330,27 @@ void EventServer::begin_shutdown() {
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   loop_.remove_fd(listener_.fd());
   listener_.close();
-  // Stop intake everywhere (the event-loop twin of the threaded
-  // server's shutdown(SHUT_RD) on every parked session): accepted work
-  // still drains out over the intact write side.
-  for (const auto& [fd, client_ptr] : clients_) {
-    Client& client = *client_ptr;
+  // Stop intake everywhere: accepted work still drains out over the
+  // intact write side.
+  for (auto it = clients_.begin(); it != clients_.end();) {
+    Client& client = *(it++)->second;  // advance first: may close below
     if (client.input_closed) continue;
     client.input_closed = true;
     client.pending_lines.clear();
     if (client.core) {
-      client.core->finish_input();
+      client.core->finish_input();  // wakes: the session drains out
     } else {
-      client.kill = true;  // unauthenticated: nothing to drain
+      close_client(client);  // unauthenticated: nothing to drain
     }
   }
 }
 
 void EventServer::close_client(Client& client) {
   if (client.core && client.core->result().any_error) any_error_ = true;
-  const int fd = client.conn.fd();
-  loop_.remove_fd(fd);
-  clients_.erase(fd);  // destroys `client`; do not touch it past here
+  loop_.remove_fd(client.conn.fd());
+  // Destroys `client` — its session withdraws every pending completion
+  // callback — do not touch it past here.
+  clients_.erase(client.serial);
   open_metric_.set(static_cast<double>(clients_.size()));
 }
 

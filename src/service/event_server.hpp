@@ -1,16 +1,25 @@
 // service::EventServer — the event-driven front door for saim_serve
-// --listen (the default since this PR; --threaded keeps the old
-// thread-per-connection server for one release).
+// --listen.
 //
 // One reactor thread (net::EventLoop: epoll on Linux, poll elsewhere)
 // multiplexes the listener plus every accepted connection. Each
 // connection pairs a net::Connection (non-blocking line IO, writev
 // batching) with a StreamSessionCore (the protocol state machine shared
-// with the threaded path — identical bytes by construction). All
+// with the stdin/stdout session — identical bytes by construction). All
 // sessions share ONE SolveService, so concurrent connections share the
-// cache, batcher and warm pool, exactly like the threaded server.
+// cache, batcher and warm pool.
 //
-// What one thread buys over thread-per-connection:
+// Result emission is completion-driven. Every connection gets a serial
+// number (never reused, unlike fds), and its session's `wake` callback
+// pushes that serial onto this server's mutex-guarded ready list and
+// calls EventLoop::wakeup(). The solver worker that finishes a job thus
+// interrupts the poll directly; the loop drains the ready list and
+// serves only the connections on it. A completion for a connection that
+// has already closed finds no serial and is a no-op. The poll timeout is
+// only the housekeeping tick for the auth, idle and shutdown-grace
+// deadlines.
+//
+// What one thread buys:
 //   * backpressure instead of unbounded buffering — when a peer stops
 //     draining its socket and the connection's outbound queue passes
 //     outbound_limit_bytes, the server stops READING that session (jobs
@@ -27,7 +36,7 @@
 //
 // Observability (registered on the service's MetricsRegistry, so both
 // the Prometheus scrape and the {"cmd":"stats"} "connections" object see
-// them, and the --threaded server shares the same series):
+// them):
 //   saim_connections_open, saim_connections_accepted_total,
 //   saim_connections_rejected_total, saim_sessions_timed_out_total.
 //
@@ -45,12 +54,15 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/event_loop.hpp"
 #include "net/listener.hpp"
 #include "obs/metrics.hpp"
 #include "service/solve_service.hpp"
 #include "service/stream_session.hpp"
+#include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace saim::service {
 
@@ -114,7 +126,9 @@ class EventServer {
   struct Client;
 
   void accept_pending();
-  void on_client_event(int fd, std::uint32_t ready);
+  /// Builds the client's session, wired to wake this loop on its serial.
+  void start_session(Client& client);
+  void on_client_event(std::uint64_t serial, std::uint32_t ready);
   /// Feeds buffered-but-unprocessed lines to the session while the
   /// outbound queue is under the backpressure limit.
   void process_pending_lines(Client& client);
@@ -123,18 +137,27 @@ class EventServer {
   /// closes the client when it is finished. Returns false if the client
   /// was destroyed.
   bool update_client(Client& client);
-  void sweep_sessions();
+  /// Emits the output of every session on the ready list.
+  void serve_ready() SAIM_EXCLUDES(ready_mutex_);
   void housekeeping();
   void begin_shutdown();
   void close_client(Client& client);
-  [[nodiscard]] bool any_needs_sweep() const;
 
   SolveService& service_;
   const EventServerOptions options_;
   net::Listener listener_;
   net::EventLoop loop_;
 
-  std::map<int, std::unique_ptr<Client>> clients_;
+  /// Serials of connections whose session woke (pushed by solver
+  /// workers and by the loop itself). Declared before clients_: a
+  /// session's callbacks are withdrawn when its Client dies, so the list
+  /// outlives every callback that can touch it.
+  util::Mutex ready_mutex_;
+  std::vector<std::uint64_t> ready_ SAIM_GUARDED_BY(ready_mutex_);
+
+  /// Open connections by serial (never reused, unlike the fd).
+  std::map<std::uint64_t, std::unique_ptr<Client>> clients_;
+  std::uint64_t next_serial_ = 0;
   bool stopping_ = false;
   bool done_ = false;
   bool any_error_ = false;

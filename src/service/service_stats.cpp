@@ -69,10 +69,9 @@ std::string service_stats_json(const SolveService& service) {
       .raw_field("cache", cache.str())
       .raw_field("latency", latency.str());
 
-  // Front-door state, present only when a listen server (event-driven or
-  // --threaded) registered its connection metrics — a plain stdin/stdout
-  // run has no front door and no "connections" object. Values come from
-  // the shared registry, so both server flavours report identically.
+  // Front-door state, present only when a listen server registered its
+  // connection metrics — a plain stdin/stdout run has no front door and
+  // no "connections" object.
   const obs::MetricsRegistry& registry = service.metrics();
   if (const auto accepted =
           registry.counter_value("saim_connections_accepted_total")) {

@@ -56,6 +56,19 @@ struct JobState {
   std::size_t subscribers SAIM_GUARDED_BY(mutex) = 1;
   std::size_t cancel_votes SAIM_GUARDED_BY(mutex) = 0;
 
+  /// Completion callbacks not yet fired, keyed by the registering
+  /// handle's callback id (JobHandle::on_complete). finish() runs and
+  /// clears them in the critical section that publishes `response`.
+  std::vector<std::pair<std::uint64_t, std::function<void()>>> callbacks
+      SAIM_GUARDED_BY(mutex);
+  std::uint64_t next_callback_id SAIM_GUARDED_BY(mutex) = 0;
+
+  void remove_callback_locked(std::uint64_t id) SAIM_REQUIRES(mutex) {
+    std::erase_if(callbacks, [id](const auto& entry) {
+      return entry.first == id;
+    });
+  }
+
   /// With `mutex` held: trips the stop iff no live subscriber still wants
   /// the result and the job has not already finished.
   void maybe_stop_locked() SAIM_REQUIRES(mutex) {
@@ -111,10 +124,25 @@ bool JobHandle::cancel() {
   return true;
 }
 
+void JobHandle::on_complete(std::function<void()> callback) {
+  if (!state_) return;
+  util::MutexLock lock(state_->mutex);
+  if (state_->response != nullptr) {
+    callback();  // already finished: fire inline, exactly once
+    return;
+  }
+  if (callback_id_ != 0) state_->remove_callback_locked(callback_id_);
+  callback_id_ = ++state_->next_callback_id;
+  state_->callbacks.emplace_back(callback_id_, std::move(callback));
+}
+
 void JobHandle::release() noexcept {
   if (!state_) return;
   {
     util::MutexLock lock(state_->mutex);
+    // An unfired callback must never outlive its handle: whoever
+    // registered it may be gone by the time the job finishes.
+    if (callback_id_ != 0) state_->remove_callback_locked(callback_id_);
     if (!cancel_voted_) {
       // A handle dropped without voting no longer counts toward the
       // cancellation quorum — otherwise one discarded twin handle would
@@ -126,21 +154,22 @@ void JobHandle::release() noexcept {
   }
   state_.reset();
   cancel_voted_ = false;
+  callback_id_ = 0;
 }
 
 JobHandle::~JobHandle() { release(); }
 
 JobHandle::JobHandle(JobHandle&& other) noexcept
-    : state_(std::move(other.state_)), cancel_voted_(other.cancel_voted_) {
-  other.cancel_voted_ = false;
-}
+    : state_(std::move(other.state_)),
+      cancel_voted_(std::exchange(other.cancel_voted_, false)),
+      callback_id_(std::exchange(other.callback_id_, 0)) {}
 
 JobHandle& JobHandle::operator=(JobHandle&& other) noexcept {
   if (this != &other) {
     release();
     state_ = std::move(other.state_);
-    cancel_voted_ = other.cancel_voted_;
-    other.cancel_voted_ = false;
+    cancel_voted_ = std::exchange(other.cancel_voted_, false);
+    callback_id_ = std::exchange(other.callback_id_, 0);
   }
   return *this;
 }
@@ -627,8 +656,12 @@ void SolveService::finish(const std::shared_ptr<JobState>& job,
     }
   }
   {
+    // Callbacks fire inside the publishing critical section: nobody can
+    // observe the response (and, say, drop the handle) while one runs.
     util::MutexLock lock(job->mutex);
     job->response = std::move(response);
+    for (auto& [id, callback] : job->callbacks) callback();
+    job->callbacks.clear();
   }
   job->cv.notify_all();
 }

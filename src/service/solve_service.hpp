@@ -29,11 +29,17 @@
 // result comes back with Status::kCancelled / kDeadline within one inner
 // run. shutdown() drains queued-but-unstarted jobs as kCancelled, lets
 // running jobs finish, and joins the workers; the destructor does the same.
+//
+// Completion is pushed, not polled: JobHandle::on_complete registers a
+// one-shot callback that the finishing thread runs right after it
+// publishes the response, so a serving loop can sleep until a job is
+// actually done instead of re-checking its handles on a timer.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -185,6 +191,18 @@ class JobHandle {
   /// request's job. Returns true if this call tripped the stop.
   bool cancel();
 
+  /// Registers this handle's one-shot completion callback (replacing one
+  /// that has not fired yet). It runs once: on the thread that finishes
+  /// the job, right after the response is published — or inline, before
+  /// on_complete returns, when the job has already finished (cache hits,
+  /// jobs cancelled at shutdown). Coalesced twins each fire their own.
+  /// The callback runs under the job's lock, so wait()/try_get() cannot
+  /// observe the response before it has returned; it must be short and
+  /// must not touch this job's handles. Releasing the handle withdraws a
+  /// callback that has not fired — it never runs after its handle is
+  /// gone. No-op on an invalid handle.
+  void on_complete(std::function<void()> callback);
+
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
  private:
@@ -197,6 +215,7 @@ class JobHandle {
 
   std::shared_ptr<detail::JobState> state_;
   bool cancel_voted_ = false;
+  std::uint64_t callback_id_ = 0;  ///< registered on_complete; 0 = none
 };
 
 class SolveService {

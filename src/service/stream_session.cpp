@@ -1,12 +1,10 @@
 #include "service/stream_session.hpp"
 
-#include <errno.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
 #include <istream>
 #include <ostream>
 #include <thread>
@@ -18,62 +16,6 @@
 #include "util/thread_annotations.hpp"
 
 namespace saim::service {
-
-// ------------------------------------------------------------ IO adapters
-
-bool IostreamSessionIO::read_line(std::string& line) {
-  return static_cast<bool>(std::getline(in_, line));
-}
-
-void IostreamSessionIO::write_line(const std::string& line) {
-  out_ << line << "\n";
-}
-
-void IostreamSessionIO::flush() { out_.flush(); }
-
-FdSessionIO::~FdSessionIO() {
-  if (owns_fd_ && fd_ >= 0) ::close(fd_);
-}
-
-bool FdSessionIO::read_line(std::string& line) {
-  for (;;) {
-    if (!lines_.empty()) {
-      line = std::move(lines_.front());
-      lines_.pop_front();
-      return true;
-    }
-    if (eof_ || fd_ < 0) return false;
-    char buf[4096];
-    const ssize_t n = ::read(fd_, buf, sizeof buf);
-    if (n > 0) {
-      framer_.feed(buf, static_cast<std::size_t>(n));
-      for (auto& l : framer_.take_lines()) lines_.push_back(std::move(l));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    eof_ = true;  // orderly close, reset, or a hard error: input is over
-  }
-}
-
-void FdSessionIO::write_line(const std::string& line) {
-  if (broken_ || fd_ < 0) return;
-  // The scratch buffer is a member: a session writes one line per job,
-  // and reusing the allocation across lines keeps the per-job cost to a
-  // copy instead of a copy plus a heap round-trip.
-  write_buffer_.assign(line);
-  write_buffer_ += '\n';
-  for (;;) {
-    switch (net::write_some(fd_, write_buffer_)) {
-      case net::WriteStatus::kOk:
-        return;
-      case net::WriteStatus::kBlocked:
-        continue;  // cannot happen on a blocking fd; spin-safe anyway
-      case net::WriteStatus::kBroken:
-        broken_ = true;  // peer gone; the read side will surface EOF
-        return;
-    }
-  }
-}
 
 // ----------------------------------------------------------- warm payload
 
@@ -174,7 +116,6 @@ struct PendingJob {
   bool drain = false;  ///< {"cmd":"drain"} barrier, not a job
   bool bye = false;    ///< {"cmd":"shutdown"} farewell barrier
   bool export_warm = false;  ///< {"cmd":"export_warm"} snapshot barrier
-  bool emitted = false;  ///< result line already printed (--stream)
 
   [[nodiscard]] bool barrier() const { return drain || bye || export_warm; }
 };
@@ -182,20 +123,23 @@ struct PendingJob {
 }  // namespace
 
 /// State shared between whoever feeds lines and whoever polls emissions
-/// — two threads in the blocking driver (reader + emitter), one thread
-/// in the event server (the lock is then uncontended). A named struct so
+/// — two threads in the stdin loop (reader + emitter), one thread in
+/// the event server (the lock is then uncontended). A named struct so
 /// the guarded members can carry thread-safety annotations.
 struct StreamSessionCore::Impl {
   SolveService& service;
   const SessionOptions options;
+  const std::function<void()> wake;
   /// Registered on the service's registry (get-or-create: sessions share
   /// one series) so emit delay rolls up with the solver-side stage
   /// histograms in stats snapshots and metrics scrapes.
   obs::Histogram& emit_hist;
 
   mutable util::Mutex mutex;
-  std::vector<PendingJob> jobs SAIM_GUARDED_BY(mutex);
-  std::vector<std::size_t> unemitted SAIM_GUARDED_BY(mutex);  ///< in order
+  /// Accepted-but-unemitted entries in input order. Rendered entries
+  /// leave at once: their JobHandle (and the result it pins) is released
+  /// as soon as its line exists.
+  std::deque<PendingJob> pending SAIM_GUARDED_BY(mutex);
   bool input_done SAIM_GUARDED_BY(mutex) = false;
   std::int64_t next_seq SAIM_GUARDED_BY(mutex) = 0;
   SessionResult session_result SAIM_GUARDED_BY(mutex);
@@ -204,32 +148,48 @@ struct StreamSessionCore::Impl {
   std::size_t line_no = 0;
   bool intake_stopped = false;
 
-  Impl(SolveService& svc, const SessionOptions& opts)
+  Impl(SolveService& svc, const SessionOptions& opts,
+       std::function<void()> wake_fn)
       : service(svc),
         options(opts),
+        wake(std::move(wake_fn)),
         emit_hist(svc.metrics().histogram(
             "saim_emit_ms",
             "response ready to result line written, milliseconds")) {}
 
-  std::string render(PendingJob& job) SAIM_REQUIRES(mutex);
-  std::string render_barrier(PendingJob& job) SAIM_REQUIRES(mutex);
+  /// The entry's line if it can emit now (a barrier is asked only once
+  /// nothing before it is pending), else std::nullopt.
+  std::optional<std::string> try_render(const PendingJob& job)
+      SAIM_REQUIRES(mutex);
+  std::string render(const PendingJob& job, const SolveResponse* response)
+      SAIM_REQUIRES(mutex);
+  std::string render_barrier(const PendingJob& job) SAIM_REQUIRES(mutex);
 };
 
-// Renders (and marks emitted) the result/error line for a FINISHED job.
-// In stream mode, lines for ACCEPTED jobs carry the emission sequence
-// number; lines rejected at submission never consume one (the global
-// completion order counts real jobs only). In batch mode results print
-// after EOF in input order, without seq.
-std::string StreamSessionCore::Impl::render(PendingJob& job) {
-  job.emitted = true;
-  if (!job.handle.valid()) {
+std::optional<std::string> StreamSessionCore::Impl::try_render(
+    const PendingJob& job) {
+  if (job.barrier()) return render_barrier(job);
+  if (!job.handle.valid()) return render(job, nullptr);
+  const auto response = job.handle.try_get();
+  if (!response) return std::nullopt;
+  return render(job, response.get());
+}
+
+// Renders the result/error line for a FINISHED job (`response` is null
+// for a line rejected at submission). In stream mode, lines for ACCEPTED
+// jobs carry the emission sequence number; lines rejected at submission
+// never consume one (the global completion order counts real jobs
+// only). In batch mode results print after EOF in input order, without
+// seq.
+std::string StreamSessionCore::Impl::render(const PendingJob& job,
+                                            const SolveResponse* response) {
+  if (response == nullptr) {
     session_result.any_error = true;
     util::JsonWriter err;
     err.field("id", job.id).field("error", job.error);
     return err.take();
   }
   const std::int64_t seq = options.stream ? next_seq++ : -1;
-  const auto response = job.handle.wait();  // finished: returns at once
   // Completion-to-emission delay, recorded for every rendered job (a
   // responsive emitter is a property of the SESSION, not of traced
   // jobs). Epoch finished_at = response built outside the service.
@@ -272,8 +232,7 @@ std::string StreamSessionCore::Impl::render(PendingJob& job) {
 // completion-order numbers). drain says "drained", shutdown says "bye",
 // export_warm snapshots the pool — at barrier time, so every feasible
 // job accepted before it has already deposited its samples.
-std::string StreamSessionCore::Impl::render_barrier(PendingJob& job) {
-  job.emitted = true;
+std::string StreamSessionCore::Impl::render_barrier(const PendingJob& job) {
   util::JsonWriter ack;
   ack.field("id", job.id);
   if (job.bye) {
@@ -287,8 +246,9 @@ std::string StreamSessionCore::Impl::render_barrier(PendingJob& job) {
 }
 
 StreamSessionCore::StreamSessionCore(SolveService& service,
-                                     const SessionOptions& options)
-    : impl_(std::make_unique<Impl>(service, options)) {}
+                                     const SessionOptions& options,
+                                     std::function<void()> wake)
+    : impl_(std::make_unique<Impl>(service, options, std::move(wake))) {}
 
 StreamSessionCore::~StreamSessionCore() = default;
 
@@ -317,8 +277,8 @@ bool StreamSessionCore::on_line(const std::string& line,
         std::size_t inflight = 0;
         {
           util::MutexLock lock(im.mutex);
-          for (const std::size_t i : im.unemitted) {
-            if (im.jobs[i].handle.valid()) ++inflight;
+          for (const PendingJob& job : im.pending) {
+            if (job.handle.valid()) ++inflight;
           }
         }
         util::JsonWriter pong;
@@ -381,11 +341,19 @@ bool StreamSessionCore::on_line(const std::string& line,
     pending.error = e.what();
   }
   {
-    // Uncontended without a concurrent emitter (batch mode / event
-    // server), so one always-locked push keeps the paths identical.
+    // Uncontended without a concurrent emitter (the event server), so
+    // one always-locked push keeps the paths identical. The completion
+    // callback is registered only once the entry is visible to
+    // poll_emittable — a wake that fired earlier could find nothing to
+    // emit and never come again. Entries that are not jobs may be
+    // emittable right away.
     util::MutexLock lock(im.mutex);
-    im.jobs.push_back(std::move(pending));
-    im.unemitted.push_back(im.jobs.size() - 1);
+    im.pending.push_back(std::move(pending));
+    if (JobHandle& handle = im.pending.back().handle; handle.valid()) {
+      handle.on_complete(im.wake);
+    } else {
+      im.wake();
+    }
   }
   if (stop_reading) {
     im.intake_stopped = true;
@@ -397,93 +365,60 @@ bool StreamSessionCore::on_line(const std::string& line,
 void StreamSessionCore::finish_input() {
   util::MutexLock lock(impl_->mutex);
   impl_->input_done = true;
+  impl_->wake();  // batch output may start; drained() may flip
 }
 
-// Each pass sweeps only the still-unemitted indices with non-blocking
-// try_get. A drain/shutdown barrier emits only once every entry before
-// it has — jobs after it may still overtake it, matching the contract
-// that "drained" certifies the PAST, not the future.
+// A stream-mode pass renders every finished entry with non-blocking
+// try_get and keeps the rest in order. A drain/shutdown barrier emits
+// only once every entry before it has — jobs after it may still
+// overtake it, matching the contract that "drained" certifies the PAST,
+// not the future.
 //
-// The sweep is a hand-written compaction loop rather than erase_if: the
+// The pass is a hand-written compaction loop rather than erase_if: the
 // analysis treats a lambda body as its own (lock-free) function, so a
-// predicate touching jobs/unemitted could not be checked against the
-// lock held out here.
+// predicate touching `pending` could not be checked against the lock
+// held out here.
 bool StreamSessionCore::poll_emittable(std::vector<std::string>& out) {
   Impl& im = *impl_;
   util::MutexLock lock(im.mutex);
   if (im.options.stream) {
     bool blocked = false;  // an earlier entry is still unfinished
     std::size_t kept = 0;
-    for (std::size_t n = 0; n < im.unemitted.size(); ++n) {
-      const std::size_t i = im.unemitted[n];
-      PendingJob& job = im.jobs[i];
-      if (job.barrier()) {
-        if (blocked) {
-          im.unemitted[kept++] = i;
-        } else {
-          out.push_back(im.render_barrier(job));
-        }
+    for (std::size_t n = 0; n < im.pending.size(); ++n) {
+      PendingJob& job = im.pending[n];
+      std::optional<std::string> line;
+      if (!blocked || !job.barrier()) line = im.try_render(job);
+      if (line) {
+        out.push_back(std::move(*line));
         continue;
       }
-      if (job.handle.valid() && !job.handle.try_get()) {
-        blocked = true;
-        im.unemitted[kept++] = i;
-        continue;
-      }
-      out.push_back(im.render(job));
+      blocked = true;
+      if (kept != n) im.pending[kept] = std::move(job);
+      ++kept;
     }
-    im.unemitted.resize(kept);
+    im.pending.resize(kept);
   } else if (im.input_done) {
     // Batch contract: nothing emits before EOF; afterwards, input order.
     // Render the maximal finished prefix; the rest waits for a later
-    // poll (or drain_blocking).
-    std::size_t taken = 0;
-    while (taken < im.unemitted.size()) {
-      PendingJob& job = im.jobs[im.unemitted[taken]];
-      if (job.barrier()) {
-        out.push_back(im.render_barrier(job));
-      } else if (job.handle.valid() && !job.handle.try_get()) {
-        break;
-      } else {
-        out.push_back(im.render(job));
-      }
-      ++taken;
+    // wake.
+    while (!im.pending.empty()) {
+      auto line = im.try_render(im.pending.front());
+      if (!line) break;
+      out.push_back(std::move(*line));
+      im.pending.pop_front();
     }
-    im.unemitted.erase(im.unemitted.begin(),
-                       im.unemitted.begin() +
-                           static_cast<std::ptrdiff_t>(taken));
   }
-  return im.input_done && im.unemitted.empty();
-}
-
-void StreamSessionCore::drain_blocking(std::vector<std::string>& out) {
-  Impl& im = *impl_;
-  // render() may block in handle.wait(); nothing else wants the lock at
-  // drain time (the feeder is done, no emitter thread runs in batch
-  // mode), so holding it across the waits is safe and keeps the guarded
-  // accesses annotated.
-  util::MutexLock lock(im.mutex);
-  for (auto& job : im.jobs) {
-    if (job.emitted) continue;
-    out.push_back(job.barrier() ? im.render_barrier(job) : im.render(job));
-  }
-  im.unemitted.clear();
+  return im.input_done && im.pending.empty();
 }
 
 bool StreamSessionCore::drained() const {
   util::MutexLock lock(impl_->mutex);
-  return impl_->input_done && impl_->unemitted.empty();
-}
-
-bool StreamSessionCore::needs_poll() const {
-  util::MutexLock lock(impl_->mutex);
-  if (impl_->unemitted.empty()) return false;
-  return impl_->options.stream || impl_->input_done;
+  return impl_->input_done && impl_->pending.empty();
 }
 
 std::size_t StreamSessionCore::unemitted_count() const {
   util::MutexLock lock(impl_->mutex);
-  return impl_->unemitted.size();
+  return impl_->pending.size();
 }
 
 SessionResult StreamSessionCore::result() const {
@@ -493,59 +428,65 @@ SessionResult StreamSessionCore::result() const {
 
 // -------------------------------------------------------------- session
 
-SessionResult run_stream_session(SolveService& service, SessionIO& io,
+SessionResult run_stream_session(SolveService& service, std::istream& in,
+                                 std::ostream& out,
                                  const SessionOptions& options) {
-  StreamSessionCore core(service, options);
-  util::Mutex out_mutex;  ///< serializes the sink between emitter and pongs
+  // The emitter sleeps until the core wakes it: a job finished, an
+  // immediate line was queued, or input ended.
+  util::Mutex wake_mutex;
+  std::condition_variable wake_cv;
+  bool woken = false;  ///< guarded by wake_mutex
+  StreamSessionCore core(service, options, [&] {
+    {
+      util::MutexLock lock(wake_mutex);
+      woken = true;
+    }
+    wake_cv.notify_one();
+  });
+  util::Mutex out_mutex;  ///< serializes `out` between emitter and replies
 
-  // Stream mode emits from a dedicated thread so completions surface the
-  // moment they happen — even while the main thread is blocked in
-  // read_line waiting for a slow producer (a request-response coprocess
-  // can keep the pipe open and still read results). Renders happen under
-  // the core's lock but WRITES happen outside it (a slow result consumer
-  // never stalls submission); the pass exits once input is done and
+  // Results are written from a dedicated thread so completions surface
+  // the moment they happen — even while the main thread is blocked
+  // reading a slow producer (a request-response coprocess can keep the
+  // pipe open and still read results). Renders happen under the core's
+  // lock but WRITES happen outside it (a slow result consumer never
+  // stalls submission); the thread exits once input is done and
   // everything is emitted. poll_emittable computes "drained" inside the
-  // same critical section as its sweep, so a final job pushed before
+  // same critical section as its pass, so a final job pushed before
   // finish_input can never be skipped.
-  std::thread emitter;
-  if (options.stream) {
-    emitter = std::thread([&] {
-      for (;;) {
-        std::vector<std::string> lines;
-        const bool done = core.poll_emittable(lines);
-        if (!lines.empty()) {
-          util::MutexLock lock(out_mutex);
-          for (const auto& l : lines) io.write_line(l);
-          io.flush();  // a coprocess is waiting on these completions
-        }
-        if (done) return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::thread emitter([&] {
+    for (;;) {
+      {
+        util::MutexLock lock(wake_mutex);
+        while (!woken) wake_cv.wait(lock.native());
+        woken = false;
       }
-    });
-  }
+      std::vector<std::string> lines;
+      const bool done = core.poll_emittable(lines);
+      if (!lines.empty()) {
+        util::MutexLock lock(out_mutex);
+        for (const auto& l : lines) out << l << '\n';
+        if (options.stream) out.flush();
+      }
+      if (done) return;
+    }
+  });
 
   std::string line;
   std::vector<std::string> replies;
-  while (io.read_line(line)) {
+  while (std::getline(in, line)) {
     replies.clear();
     const bool keep_reading = core.on_line(line, replies);
     if (!replies.empty()) {
       util::MutexLock lock(out_mutex);
-      for (const auto& r : replies) io.write_line(r);
-      io.flush();  // a probe's whole point is promptness
+      for (const auto& r : replies) out << r << '\n';
+      out.flush();  // a probe's whole point is promptness
     }
     if (!keep_reading) break;
   }
   core.finish_input();
-
-  if (options.stream) {
-    emitter.join();  // drains every remaining completion, then exits
-  } else {
-    std::vector<std::string> lines;
-    core.drain_blocking(lines);
-    for (const auto& l : lines) io.write_line(l);
-    io.flush();  // batch mode: one flush for the whole run
-  }
+  emitter.join();  // drains every remaining completion, then exits
+  out.flush();     // batch mode: one flush for the whole run
   return core.result();
 }
 

@@ -1,30 +1,30 @@
 // StreamSession — one JSONL serving conversation over any line IO.
 //
-// PR 4's saim_serve had the whole wire protocol (docs/PROTOCOL.md) woven
-// into its main(): read job lines, submit to the SolveService, emit
-// result lines (input order after EOF, or completion order with "seq"
-// under --stream), answer control lines. run_stream_session() is that
-// loop extracted behind a SessionIO seam, so the identical protocol —
-// byte for byte — now serves
+// The whole wire protocol (docs/PROTOCOL.md): read job lines, submit to
+// the SolveService, emit result lines (input order after EOF, or
+// completion order with "seq" under --stream), answer control lines.
+// The protocol state machine is StreamSessionCore, a non-blocking,
+// push/pull core (feed lines in, pull finished result lines out) that
+// never waits on anything. Two front ends sit on it:
 //
-//   * stdin/stdout            (IostreamSessionIO; saim_serve's default),
-//   * one accepted TCP socket (FdSessionIO; saim_serve --listen
-//     --threaded spawns a session thread per connection),
-//   * many multiplexed TCP sockets on one reactor thread (the default
-//     --listen path: service/event_server.{hpp,cpp} drives one
-//     StreamSessionCore per connection from a net::EventLoop).
+//   * run_stream_session() — stdin/stdout (or files): a reader thread
+//     feeds lines while an emitter thread writes results;
+//   * service/event_server — many TCP sockets multiplexed on one
+//     net::EventLoop, one StreamSessionCore per connection.
 //
-// The protocol state machine itself lives in StreamSessionCore: a
-// non-blocking, push/pull core (feed lines in, poll finished result
-// lines out) shared by BOTH transports, so the event-driven server and
-// the thread-per-connection server emit identical bytes by construction.
-// run_stream_session() is the blocking driver around it.
+// Neither front end polls. The core is built with a `wake` callback that
+// it registers as every accepted job's completion callback
+// (JobHandle::on_complete) and also calls whenever its own state makes
+// new output possible (an error line, a barrier, end of input). The
+// stdin loop's emitter sleeps on a condition variable that `wake`
+// signals; the event server's `wake` queues the connection on its
+// loop's ready list and interrupts the poll.
 //
-// Per-session state: job table, seq counter (stream mode numbers each
-// CONNECTION's accepted jobs 0..n-1), drain barriers. Shared state: the
-// SolveService. The emitter thread (stream mode, blocking driver) writes
-// results the moment they complete, even while the reader blocks on a
-// slow producer.
+// Per-session state: the unemitted entries, seq counter (stream mode
+// numbers each CONNECTION's accepted jobs 0..n-1), drain barriers. An
+// entry, and with it its job's result, is dropped the moment its line is
+// rendered, so a long session holds only what is still in flight.
+// Shared state: the SolveService.
 //
 // Control lines handled here: ping, stats (immediate service snapshot:
 // counters, cache stats, latency quantiles — see service_stats.hpp),
@@ -35,14 +35,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "net/framing.hpp"
 #include "service/solve_service.hpp"
 #include "util/jsonl.hpp"
 
@@ -61,79 +60,34 @@ struct SessionResult {
   bool shutdown = false;   ///< {"cmd":"shutdown"} ended the session
 };
 
-/// The line transport a session speaks through. read_line blocks; the
-/// session serializes write_line calls itself (implementations need no
-/// locking against the session, only against other sessions if they
-/// share a sink).
-class SessionIO {
- public:
-  virtual ~SessionIO() = default;
-  /// Blocks for the next input line; false on EOF / peer close.
-  virtual bool read_line(std::string& line) = 0;
-  /// Writes `line` plus a newline; may buffer until flush().
-  virtual void write_line(const std::string& line) = 0;
-  /// Pushes buffered output to the peer. The session flushes after
-  /// every burst of result lines in stream mode (a coprocess is
-  /// waiting) but only once at the end in batch mode — a big file run
-  /// must not pay one flush per line.
-  virtual void flush() {}
-};
-
-/// std::istream/std::ostream adapter (stdin/stdout or files).
-class IostreamSessionIO : public SessionIO {
- public:
-  IostreamSessionIO(std::istream& in, std::ostream& out) : in_(in), out_(out) {}
-  bool read_line(std::string& line) override;
-  void write_line(const std::string& line) override;
-  void flush() override;
-
- private:
-  std::istream& in_;
-  std::ostream& out_;
-};
-
-/// Blocking-fd adapter (an accepted socket). Owns the fd by default;
-/// pass owns_fd=false when the caller keeps the fd alive past the
-/// session (e.g. a server that must shutdown() parked sessions' fds —
-/// safe only while the fd cannot be closed and reused underneath it).
-class FdSessionIO : public SessionIO {
- public:
-  explicit FdSessionIO(int fd, bool owns_fd = true)
-      : fd_(fd), owns_fd_(owns_fd) {}
-  ~FdSessionIO() override;
-  bool read_line(std::string& line) override;
-  void write_line(const std::string& line) override;
-
- private:
-  int fd_ = -1;
-  bool owns_fd_ = true;
-  net::LineFramer framer_;
-  std::deque<std::string> lines_;
-  std::string write_buffer_;  ///< reused per line: no alloc on the hot path
-  bool eof_ = false;
-  bool broken_ = false;  ///< write side failed; drop further output
-};
-
 /// The protocol state machine of one session, decoupled from any
 /// transport or thread: feed input lines with on_line() (immediate
 /// replies — pong, stats, import acks — come back through `replies`),
 /// mark EOF with finish_input(), and pull finished result lines with
 /// poll_emittable(), which NEVER blocks. Internally synchronized: the
-/// blocking driver calls on_line and poll_emittable from two threads;
-/// the event server calls everything from its one reactor thread (the
-/// lock is then uncontended).
+/// stdin loop calls on_line and poll_emittable from two threads; the
+/// event server calls everything from its one reactor thread (the lock
+/// is then uncontended).
 ///
-/// Emission contract (identical to the historical in-line loop, pinned
-/// by the transport-equality tests):
+/// `wake` fires whenever poll_emittable may have new output or
+/// drained() may have flipped: on every accepted job's completion (from
+/// the finishing worker thread, under that job's lock — see
+/// JobHandle::on_complete), and from on_line/finish_input for output
+/// they make possible themselves. It must be cheap, thread-safe and must
+/// not call back into this core. It never fires after the core is
+/// destroyed.
+///
+/// Emission contract (pinned by the transport-equality tests):
 ///   * stream mode — completion order; every rendered line of an
 ///     accepted job carries the next "seq"; a drain/shutdown/export
 ///     barrier waits until every entry before it has emitted;
 ///   * batch mode — nothing emits before finish_input(); afterwards
 ///     results render in input order (poll_emittable yields the maximal
-///     finished prefix per call; drain_blocking waits for everything).
+///     finished prefix per call).
 class StreamSessionCore {
  public:
-  StreamSessionCore(SolveService& service, const SessionOptions& options);
+  StreamSessionCore(SolveService& service, const SessionOptions& options,
+                    std::function<void()> wake);
   ~StreamSessionCore();
 
   StreamSessionCore(const StreamSessionCore&) = delete;
@@ -153,17 +107,8 @@ class StreamSessionCore {
   /// drained: input finished and nothing left to emit.
   bool poll_emittable(std::vector<std::string>& out);
 
-  /// Blocking drain for the thread-per-session batch path: renders
-  /// everything still pending, waiting on unfinished jobs, in input
-  /// order.
-  void drain_blocking(std::vector<std::string>& out);
-
   /// True when input is finished and every accepted line has emitted.
   [[nodiscard]] bool drained() const;
-  /// True when poll_emittable could make progress soon: unemitted
-  /// entries exist (stream mode) or exist after EOF (batch mode). The
-  /// event server's completion-sweep cadence keys off this.
-  [[nodiscard]] bool needs_poll() const;
   /// Accepted-but-unemitted lines (jobs and barriers) — nonzero while
   /// work is still in flight, whatever the mode.
   [[nodiscard]] std::size_t unemitted_count() const;
@@ -174,10 +119,14 @@ class StreamSessionCore {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Serves one complete conversation: reads until EOF or shutdown,
-/// answers every line per docs/PROTOCOL.md, returns once everything
-/// accepted has been emitted.
-SessionResult run_stream_session(SolveService& service, SessionIO& io,
+/// Serves one complete conversation over `in`/`out`: reads until EOF or
+/// shutdown, answers every line per docs/PROTOCOL.md, returns once
+/// everything accepted has been emitted. Stream mode flushes `out` after
+/// every burst of lines (a coprocess is waiting on them); batch mode
+/// flushes once at the end (a big file run must not pay one flush per
+/// line).
+SessionResult run_stream_session(SolveService& service, std::istream& in,
+                                 std::ostream& out,
                                  const SessionOptions& options);
 
 // --------------------------------------------------------- warm payloads

@@ -107,7 +107,7 @@ std::vector<std::string> Supervisor::pump(int poll_ms) {
 
   // Hedge pass: queue replica copies of jobs stuck in flight past their
   // shard's adaptive threshold, so the send loop below writes them in
-  // this same cycle (mirrors shard_driver's pump).
+  // this same cycle.
   router_.dispatch_hedges();
 
   // Send: fill each live shard's window; keep flushing retiring shards

@@ -1,9 +1,10 @@
 // In-process tests for service::EventServer (the event-driven --listen
 // front door): round-trip + graceful shutdown exit code, the global
 // connection cap's fail-fast reject, the fail-closed auth deadline, the
-// idle timeout, and slow-reader backpressure (bounded outbound queue
-// that pauses reading, then drains completely). Every case runs on both
-// reactor backends — epoll and the portable poll fallback.
+// idle timeout, slow-reader backpressure (bounded outbound queue that
+// pauses reading, then drains completely), and completions that land
+// after their client vanished. Every case runs on both reactor backends
+// — epoll and the portable poll fallback.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -51,6 +52,14 @@ class BlockingClient {
   void close() {
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
+  }
+
+  /// Closes with a TCP reset (SO_LINGER 0): the server's next write to
+  /// this connection fails instead of landing in a buffer.
+  void abort() {
+    linger hard{1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &hard, sizeof hard);
+    close();
   }
 
   void send_line(const std::string& line) {
@@ -284,6 +293,42 @@ TEST_P(EventServerTest, SlowReaderHitsBackpressureThenDrainsFully) {
   client.send_line(R"({"id":"end","cmd":"shutdown"})");
   ASSERT_TRUE(client.read_line(line));
   EXPECT_NE(line.find("\"bye\":true"), std::string::npos);
+  EXPECT_EQ(fixture.join(), 0);
+}
+
+TEST_P(EventServerTest, CompletionAfterClientResetIsHarmless) {
+  ServerFixture fixture(base_options(), /*workers=*/2);
+  {
+    BlockingClient client(fixture.port());
+    // Two jobs of different lengths, both still running when the client
+    // resets. The first to finish is emitted into the dead socket, which
+    // closes the connection; the other then finishes (or is abandoned)
+    // with its connection already gone — its wake must find nothing.
+    for (const int iterations : {300, 3000}) {
+      client.send_line(
+          "{\"id\":\"long" + std::to_string(iterations) +
+          "\",\"gen\":\"qkp:30-25-1\",\"iterations\":" +
+          std::to_string(iterations) + ",\"sweeps\":100,\"cache\":false}");
+    }
+    client.send_line(R"({"cmd":"ping","id":"seen"})");
+    std::string line;
+    ASSERT_TRUE(client.read_line(line));  // both jobs were accepted
+    EXPECT_NE(line.find("\"seen\""), std::string::npos) << line;
+    client.abort();
+  }
+  EXPECT_TRUE(fixture.wait_for([](const EventServer::Counters& c) {
+    return c.accepted == 1 && c.open == 0;
+  })) << "the reset connection must close once a completion hits it";
+
+  // The server is unharmed: a new session is served, then shuts down.
+  BlockingClient next(fixture.port());
+  next.send_line(job_line("after", 3));
+  std::string line;
+  ASSERT_TRUE(next.read_line(line));
+  EXPECT_NE(line.find("\"completed\""), std::string::npos) << line;
+  next.send_line(R"({"id":"end","cmd":"shutdown"})");
+  ASSERT_TRUE(next.read_line(line));
+  EXPECT_NE(line.find("\"bye\":true"), std::string::npos) << line;
   EXPECT_EQ(fixture.join(), 0);
 }
 

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -24,8 +25,8 @@
 #include "net/listener.hpp"
 #include "net/socket_child.hpp"
 #include "service/process_child.hpp"
-#include "service/shard_driver.hpp"
 #include "service/shard_router.hpp"
+#include "service/supervisor.hpp"
 #include "util/jsonl.hpp"
 
 namespace saim {
@@ -290,13 +291,24 @@ std::vector<std::string> job_stream() {
   return lines;
 }
 
-/// Drives `lines` through a fleet of endpoints; returns result lines.
+/// Drives `lines` through a `shards`-slot fleet under the Supervisor
+/// pump the tool ships (self-healing off); `attach` connects slot s.
+/// Returns the result lines.
 std::vector<std::string> route_through(
-    std::vector<std::unique_ptr<net::ShardEndpoint>> endpoints,
+    std::size_t shards,
+    const std::function<void(service::Supervisor&, std::size_t)>& attach,
     const std::vector<std::string>& lines) {
   service::RouterOptions options;
-  options.shards = endpoints.size();
+  options.shards = shards;
   service::ShardRouter router(options);
+  service::SupervisorOptions fleet_options;
+  fleet_options.local_argv = {serve_bin(), "--stream", "--workers", "1",
+                              "--cache", "0"};
+  fleet_options.respawn = false;
+  fleet_options.reconnect_remotes = false;
+  fleet_options.ping_ms = 0;
+  service::Supervisor fleet(router, std::move(fleet_options));
+  for (std::size_t s = 0; s < shards; ++s) attach(fleet, s);
   std::vector<std::string> out;
   std::size_t line_no = 0;
   for (const auto& line : lines) {
@@ -305,13 +317,11 @@ std::vector<std::string> route_through(
     }
   }
   for (int spin = 0; spin < 20000 && !router.idle(); ++spin) {
-    for (auto& l : service::pump_shards(router, endpoints, 2)) {
-      out.push_back(std::move(l));
-    }
+    for (auto& l : fleet.pump(2)) out.push_back(std::move(l));
     if (router.live_shards() == 0) break;
   }
   EXPECT_TRUE(router.idle());
-  for (auto& e : endpoints) e->shutdown_input();
+  fleet.shutdown_fleet();
   return out;
 }
 
@@ -333,25 +343,21 @@ TEST(TransportEquality, SocketFleetMatchesPipeFleetBitForBit) {
   const auto lines = job_stream();
 
   // Pipe transport: 2 fork/exec children.
-  std::vector<std::unique_ptr<net::ShardEndpoint>> pipes;
-  for (int s = 0; s < 2; ++s) {
-    pipes.push_back(std::make_unique<service::ProcessChild>(
-        std::vector<std::string>{serve_bin(), "--stream", "--workers", "1",
-                                 "--cache", "0"}));
-  }
-  const auto pipe_out = route_through(std::move(pipes), lines);
+  const auto attach_pipe = [](service::Supervisor& fleet, std::size_t s) {
+    fleet.attach_local(s);
+  };
+  const auto pipe_out = route_through(2, attach_pipe, lines);
 
   // Socket transport: 2 --listen servers over loopback TCP.
   auto remote_a = spawn_listen_serve("a");
   auto remote_b = spawn_listen_serve("b");
   ASSERT_GT(remote_a.port, 0) << "listen server never wrote its port";
   ASSERT_GT(remote_b.port, 0);
-  std::vector<std::unique_ptr<net::ShardEndpoint>> sockets;
-  sockets.push_back(
-      std::make_unique<net::SocketChild>("127.0.0.1", remote_a.port));
-  sockets.push_back(
-      std::make_unique<net::SocketChild>("127.0.0.1", remote_b.port));
-  const auto socket_out = route_through(std::move(sockets), lines);
+  const int ports[] = {remote_a.port, remote_b.port};
+  const auto attach_socket = [&](service::Supervisor& fleet, std::size_t s) {
+    fleet.attach_remote(s, "127.0.0.1", ports[s]);
+  };
+  const auto socket_out = route_through(2, attach_socket, lines);
 
   ASSERT_EQ(pipe_out.size(), lines.size());
   ASSERT_EQ(socket_out.size(), lines.size());
@@ -381,40 +387,6 @@ TEST(TransportEquality, SocketFleetMatchesPipeFleetBitForBit) {
   }
   remote_a.server->terminate();
   remote_b.server->terminate();
-}
-
-TEST(TransportEquality, EventLoopMatchesThreadedServerBitForBit) {
-  if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  const auto lines = job_stream();
-
-  // Same stream through one event-loop server (the --listen default)
-  // and one legacy --threaded server: every solver-produced field must
-  // match byte for byte — the two front doors share StreamSessionCore,
-  // and this pins that they stay interchangeable.
-  std::map<std::string, std::map<std::string, std::string>> by_id[2];
-  RemoteShard remotes[2] = {spawn_listen_serve("evt"),
-                            spawn_listen_serve("thr", {"--threaded"})};
-  for (int f = 0; f < 2; ++f) {
-    ASSERT_GT(remotes[f].port, 0) << "listen server never wrote its port";
-    std::vector<std::unique_ptr<net::ShardEndpoint>> sockets;
-    sockets.push_back(
-        std::make_unique<net::SocketChild>("127.0.0.1", remotes[f].port));
-    const auto out = route_through(std::move(sockets), lines);
-    ASSERT_EQ(out.size(), lines.size());
-    std::set<std::int64_t> seqs;
-    for (const auto& line : out) {
-      by_id[f][util::parse_json(line).find("id")->as_string()] =
-          solved_fields(line);
-      seqs.insert(util::parse_json(line).find("seq")->as_int());
-    }
-    EXPECT_EQ(seqs.size(), lines.size());
-    EXPECT_EQ(*seqs.begin(), 0);
-  }
-  ASSERT_EQ(by_id[0].size(), lines.size());
-  EXPECT_EQ(by_id[0], by_id[1])
-      << "event-loop server must not perturb any solver output";
-  remotes[0].server->terminate();
-  remotes[1].server->terminate();
 }
 
 // ------------------------------------------------------ shard-side auth
@@ -493,9 +465,8 @@ TEST(TransportEquality, ListenServerShutdownCmdExitsZero) {
   if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
   auto remote = spawn_listen_serve("bye");
   ASSERT_GT(remote.port, 0);
-  // A second, idle client parked in the server's blocking read: the
-  // shutdown below must not hang on it (the server half-closes parked
-  // sessions to unblock them).
+  // A second, idle client parked with nothing to say: the shutdown
+  // below must not hang on it (the server stops intake everywhere).
   Connection idler = connect_to("127.0.0.1", remote.port);
   net::SocketChild shard("127.0.0.1", remote.port);
   shard.send_line(

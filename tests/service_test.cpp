@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -314,6 +315,100 @@ TEST(SolveService, ShutdownCancelsQueuedJobsAndUnblocksWaiters) {
 
   EXPECT_THROW(svc->submit(make_request(t)), std::runtime_error);
   svc.reset();  // double-shutdown via destructor must be safe
+}
+
+TEST(JobHandleCompletion, FiresOnceAfterPublishAndInlineForCacheHits) {
+  service::SolveService svc({.workers = 1, .cache_capacity = 8});
+  const auto blocker = make_test_problem(30, 7);
+  const auto t = make_test_problem();
+  // A job in front keeps `job` queued while its callback is registered,
+  // so the callback cannot run inline here.
+  auto head = svc.submit(make_request(blocker, 200));
+  auto job = svc.submit(make_request(t, 20));
+  std::atomic<int> fired{0};
+  std::atomic<bool> on_worker{false};
+  const auto test_thread = std::this_thread::get_id();
+  job.on_complete([&] {
+    on_worker = std::this_thread::get_id() != test_thread;
+    ++fired;
+  });
+  // The callback runs inside the publishing critical section, so by the
+  // time wait() can see the response it has already returned.
+  const auto response = job.wait();
+  EXPECT_EQ(fired.load(), 1);
+  EXPECT_TRUE(on_worker.load()) << "fires on the thread that finished it";
+  EXPECT_FALSE(response->cache_hit);
+
+  // A cache hit is finished at submit: the callback fires inline, on the
+  // registering thread, before on_complete returns.
+  auto hit = svc.submit(make_request(t, 20));
+  int hit_fired = 0;
+  hit.on_complete([&] {
+    EXPECT_EQ(std::this_thread::get_id(), test_thread);
+    ++hit_fired;
+  });
+  EXPECT_EQ(hit_fired, 1);
+  EXPECT_TRUE(hit.wait()->cache_hit);
+
+  head.wait();
+  svc.shutdown();
+  EXPECT_EQ(fired.load(), 1) << "exactly once";
+  EXPECT_EQ(hit_fired, 1);
+}
+
+TEST(JobHandleCompletion, EveryCoalescedTwinFiresItsOwnCallback) {
+  service::SolveService svc({.workers = 1, .cache_capacity = 8});
+  const auto blocker = make_test_problem(30, 7);
+  const auto t = make_test_problem();
+  auto head = svc.submit(make_request(blocker, 200));
+  std::vector<service::JobHandle> twins;
+  for (int i = 0; i < 3; ++i) twins.push_back(svc.submit(make_request(t, 50)));
+  std::atomic<int> fired[3] = {0, 0, 0};
+  for (int i = 0; i < 3; ++i) twins[i].on_complete([&, i] { ++fired[i]; });
+  for (auto& twin : twins) twin.wait();
+  EXPECT_EQ(svc.stats().coalesced, 2u) << "one computation, three handles";
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(fired[i].load(), 1) << "twin " << i;
+  head.wait();
+}
+
+TEST(JobHandleCompletion, ReleasedHandleWithdrawsItsCallback) {
+  service::SolveService svc({.workers = 1, .cache_capacity = 8});
+  const auto blocker = make_test_problem(30, 7);
+  const auto t = make_test_problem();
+  auto head = svc.submit(make_request(blocker, 200));
+  auto keeper = svc.submit(make_request(t, 50));
+  std::atomic<int> dropped_fired{0};
+  {
+    auto dropped = svc.submit(make_request(t, 50));  // coalesced twin
+    dropped.on_complete([&] { ++dropped_fired; });
+  }  // released before the job finishes: its callback must never run
+  keeper.wait();
+  EXPECT_EQ(dropped_fired.load(), 0);
+  head.wait();
+}
+
+TEST(JobHandleCompletion, FiresForQueuedJobsCancelledByShutdown) {
+  service::SolveService svc({.workers = 1, .cache_capacity = 0});
+  const auto t = make_test_problem();
+  auto running = svc.submit(make_request(t, 5000, 50));
+  std::this_thread::sleep_for(50ms);  // let the worker claim it
+  std::vector<service::JobHandle> queued;
+  for (int j = 0; j < 4; ++j) {
+    queued.push_back(svc.submit(make_request(t, 50, 100 + j)));
+  }
+  std::atomic<int> fired{0};
+  for (auto& h : queued) h.on_complete([&] { ++fired; });
+  running.on_complete([&] { ++fired; });
+
+  svc.shutdown();
+  EXPECT_EQ(fired.load(), 5) << "4 cancelled in the drain + the running one";
+  for (auto& h : queued) {
+    EXPECT_EQ(h.try_get()->status, core::Status::kCancelled);
+  }
+  // Registering on a handle that is already finished fires inline.
+  int late = 0;
+  queued.front().on_complete([&] { ++late; });
+  EXPECT_EQ(late, 1);
 }
 
 TEST(SolveService, UnknownBackendSurfacesAsError) {

@@ -1,7 +1,7 @@
 // Tests for the sharded serving front door: the consistent-hash ring and
 // ShardRouter logic (no processes), the ProcessChild pipe wrapper (driven
 // with /bin/cat), and — when the build provides SAIM_SERVE_BIN — the real
-// thing: saim_serve children under the shared pump, including the
+// thing: saim_serve children under the Supervisor pump, including the
 // failover contract of ISSUE 4: kill a child mid-stream and every
 // accepted job still produces exactly one result or error line with a
 // correct global seq. Also pins the serving-protocol guarantees the
@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "service/process_child.hpp"
-#include "service/shard_driver.hpp"
 #include "service/shard_router.hpp"
+#include "service/supervisor.hpp"
 #include "util/jsonl.hpp"
 
 namespace saim::service {
@@ -603,32 +603,37 @@ const char* serve_bin() {
 #endif
 }
 
-std::vector<std::unique_ptr<net::ShardEndpoint>> spawn_fleet(
-    std::size_t shards) {
-  std::vector<std::unique_ptr<net::ShardEndpoint>> children;
-  for (std::size_t s = 0; s < shards; ++s) {
-    children.push_back(std::make_unique<ProcessChild>(
-        std::vector<std::string>{serve_bin(), "--stream", "--workers", "1",
-                                 "--cache", "0"}));
+/// One saim_serve child per router slot under the Supervisor pump the
+/// tool ships, self-healing off: a dead shard stays dead, so failover
+/// alone must keep every job.
+std::unique_ptr<Supervisor> spawn_fleet(ShardRouter& router) {
+  SupervisorOptions options;
+  options.local_argv = {serve_bin(), "--stream", "--workers", "1",
+                        "--cache", "0"};
+  options.respawn = false;
+  options.reconnect_remotes = false;
+  options.ping_ms = 0;
+  auto fleet = std::make_unique<Supervisor>(router, std::move(options));
+  for (std::size_t s = 0; s < router.shard_slots(); ++s) {
+    fleet->attach_local(s);
   }
-  return children;
+  return fleet;
 }
 
 /// Pumps until the router is idle or ~20s pass; returns emitted lines.
-std::vector<std::string> pump_to_idle(
-    ShardRouter& router,
-    std::vector<std::unique_ptr<net::ShardEndpoint>>& children) {
+std::vector<std::string> pump_to_idle(ShardRouter& router,
+                                      Supervisor& fleet) {
   std::vector<std::string> out;
   for (int spin = 0; spin < 10000 && !router.idle(); ++spin) {
-    for (auto& l : pump_shards(router, children, 2)) out.push_back(std::move(l));
+    for (auto& l : fleet.pump(2)) out.push_back(std::move(l));
   }
   return out;
 }
 
 TEST(ShardFleet, MatchesAcceptedJobContractEndToEnd) {
   if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  auto children = spawn_fleet(2);
   ShardRouter router(two_shards());
+  auto fleet = spawn_fleet(router);
   std::size_t line_no = 0;
   std::vector<std::string> out;
   for (int k = 1; k <= 3; ++k) {
@@ -647,7 +652,7 @@ TEST(ShardFleet, MatchesAcceptedJobContractEndToEnd) {
   for (auto& l : router.accept_line(R"({"id":"bad","gen":"zzz"})", ++line_no)) {
     out.push_back(std::move(l));
   }
-  for (auto& l : pump_to_idle(router, children)) out.push_back(std::move(l));
+  for (auto& l : pump_to_idle(router, *fleet)) out.push_back(std::move(l));
 
   ASSERT_EQ(out.size(), 7u);
   std::set<std::string> ids;
@@ -669,8 +674,8 @@ TEST(ShardFleet, MatchesAcceptedJobContractEndToEnd) {
 
 TEST(ShardFleet, SurvivesChildKilledMidStreamWithZeroLostJobs) {
   if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
-  auto children = spawn_fleet(2);
   ShardRouter router(two_shards(/*window=*/4));
+  auto fleet = spawn_fleet(router);
   // Enough distinct instances that both shards own several jobs, with
   // budgets big enough that the victim cannot finish before the kill.
   std::size_t line_no = 0;
@@ -692,7 +697,7 @@ TEST(ShardFleet, SurvivesChildKilledMidStreamWithZeroLostJobs) {
   // already emitted), then kill whichever shard has more unanswered jobs
   // — in flight and all.
   for (int spin = 0; spin < 5000 && out.size() < 2; ++spin) {
-    for (auto& l : pump_shards(router, children, 2)) out.push_back(std::move(l));
+    for (auto& l : fleet->pump(2)) out.push_back(std::move(l));
   }
   ASSERT_GE(out.size(), 2u);
   const std::size_t victim =
@@ -701,9 +706,9 @@ TEST(ShardFleet, SurvivesChildKilledMidStreamWithZeroLostJobs) {
           ? 0
           : 1;
   ASSERT_GT(router.inflight(victim) + router.pending(victim), 0u);
-  children[victim]->terminate();  // SIGKILL via the endpoint interface
+  fleet->endpoint(victim)->terminate();  // SIGKILL via the endpoint
 
-  for (auto& l : pump_to_idle(router, children)) out.push_back(std::move(l));
+  for (auto& l : pump_to_idle(router, *fleet)) out.push_back(std::move(l));
 
   // Exactly one line per accepted job, global seq contiguous, no errors.
   ASSERT_EQ(out.size(), 12u);

@@ -1,9 +1,13 @@
-// Session-level observability tests (ISSUE 7): the {"cmd":"stats"}
-// control line returning one service snapshot, the "trace":true per-job
-// timing echo, and the service_stats JSON/Prometheus renderers over a
-// live SolveService.
+// Session-level observability tests: the {"cmd":"stats"} control line
+// returning one service snapshot, the "trace":true per-job timing echo,
+// the service_stats JSON/Prometheus renderers over a live SolveService,
+// and the session's memory staying flat over a long run of jobs.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,10 +34,9 @@ std::vector<std::string> run_session(SolveService& service,
                                      bool stream = true) {
   std::istringstream in(input);
   std::ostringstream out;
-  IostreamSessionIO io(in, out);
   SessionOptions options;
   options.stream = stream;
-  run_stream_session(service, io, options);
+  run_stream_session(service, in, out, options);
   std::vector<std::string> lines;
   std::istringstream parse(out.str());
   std::string line;
@@ -151,6 +154,98 @@ TEST(StreamSessionStats, PrometheusRenderCoversServiceCountersAndLatency) {
   EXPECT_NE(text.find("saim_job_total_ms_count 1"), std::string::npos);
   EXPECT_NE(text.find("saim_emit_ms_count 1"), std::string::npos)
       << "the session must record its emit delay on the service registry";
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SAIM_SANITIZED_HEAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SAIM_SANITIZED_HEAP 1
+#endif
+#endif
+
+/// Resident set size of this process in KiB (VmRSS), 0 when unknown.
+long resident_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      long kib = 0;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(4096, '\n');
+  }
+  return 0;
+}
+
+TEST(StreamSessionMemory, RenderedJobsReleaseTheirResults) {
+#ifdef SAIM_SANITIZED_HEAP
+  GTEST_SKIP() << "sanitizer allocators quarantine freed memory; RSS "
+                  "says nothing about what the session retains";
+#else
+  if (resident_kib() == 0) GTEST_SKIP() << "no /proc/self/status";
+  ServiceOptions service_options;
+  service_options.workers = 2;
+  service_options.cache_capacity = 0;  // the session is the only holder
+  SolveService service(service_options);
+  std::mutex wake_mutex;
+  std::condition_variable wake_cv;
+  bool woken = false;
+  SessionOptions options;
+  options.stream = true;
+  StreamSessionCore core(service, options, [&] {
+    {
+      std::lock_guard lock(wake_mutex);
+      woken = true;
+    }
+    wake_cv.notify_one();
+  });
+  // Emits until nothing is in flight; returns the lines rendered.
+  const auto drain = [&] {
+    std::size_t lines = 0;
+    while (core.unemitted_count() > 0) {
+      {
+        std::unique_lock lock(wake_mutex);
+        wake_cv.wait_for(lock, std::chrono::seconds(5), [&] { return woken; });
+        woken = false;
+      }
+      std::vector<std::string> out;
+      core.poll_emittable(out);
+      lines += out.size();
+    }
+    return lines;
+  };
+
+  // Tiny cache-off jobs fed in pipelined chunks, the shape of a long
+  // serving session. Until its line is rendered each job pins its whole
+  // SolveResult; afterwards the session must let go of it, so resident
+  // memory after a warm-up quarter stays flat instead of growing with
+  // the job count (~20 KiB per job when results are retained).
+  constexpr int kJobs = 4000;
+  constexpr int kChunk = 64;
+  long warm_kib = 0;
+  std::size_t emitted = 0;
+  std::vector<std::string> replies;
+  for (int i = 0; i < kJobs; ++i) {
+    ASSERT_TRUE(core.on_line(
+        "{\"id\":\"m" + std::to_string(i) + "\",\"gen\":\"qkp:30-25-" +
+            std::to_string(i % 4 + 1) +
+            "\",\"iterations\":2,\"sweeps\":30,\"cache\":false,\"seed\":" +
+            std::to_string(i + 1) + "}",
+        replies));
+    if (i % kChunk == kChunk - 1) emitted += drain();
+    if (i == kJobs / 4) warm_kib = resident_kib();
+  }
+  core.finish_input();
+  emitted += drain();
+  ASSERT_EQ(emitted, static_cast<std::size_t>(kJobs));
+  EXPECT_TRUE(core.drained());
+  const long growth_kib = resident_kib() - warm_kib;
+  EXPECT_LT(growth_kib, 16 * 1024)
+      << "resident memory grew " << growth_kib << " KiB over "
+      << kJobs * 3 / 4 << " emitted jobs";
+#endif
 }
 
 }  // namespace

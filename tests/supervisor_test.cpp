@@ -313,6 +313,12 @@ TEST(SupervisorFleet, RemoteShardIsRedialedAfterItsServerRestarts) {
   }
   ASSERT_GE(out.size(), 2u);
   remote.process->terminate();
+  // SIGKILL is asynchronous: the port stays bound until the process is
+  // gone, so reap it before rebinding (bounded, ~10 s).
+  for (int spin = 0; spin < 10000 && remote.process->running(); ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_FALSE(remote.process->running());
 
   // ... and its operator brings a replacement up on the same address.
   // The supervisor cannot respawn it (it owns no remote processes), but

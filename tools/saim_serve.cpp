@@ -14,21 +14,19 @@
 // Transports:
 //   * default — one session over --input/--output (stdin/stdout or
 //     files): the classic filter invocation.
-//   * --listen host:port — serve the same protocol over TCP. The
-//     default server is the event-driven front door
-//     (service/EventServer: one epoll/poll reactor thread multiplexing
-//     every connection, per-connection write backpressure, a
+//   * --listen host:port — serve the same protocol over TCP through the
+//     event-driven front door (service/EventServer: one epoll/poll
+//     reactor thread multiplexing every connection, woken by job
+//     completions, per-connection write backpressure, a
 //     --max-connections fail-fast cap, --auth-timeout-ms /
-//     --idle-timeout-ms deadlines); --threaded keeps the previous
-//     thread-per-connection server for one release. Either way every
-//     connection speaks its own session over ONE shared SolveService
-//     (cache, batcher and warm-start pool are shared), and result
-//     lines are byte-identical between the two servers. Port 0 picks
-//     an ephemeral port; --port-file writes the bound port for
-//     race-free rendezvous. This is how a remote shard joins a
-//     `saim_shard --connect host:port` fleet — start it with --stream,
-//     which the sharding router requires. With --auth-token the first
-//     line of every connection must be the {"auth":"<token>"}
+//     --idle-timeout-ms deadlines). Every connection speaks its own
+//     session over ONE shared SolveService (cache, batcher and
+//     warm-start pool are shared), byte-identical to a stdin/stdout
+//     session. Port 0 picks an ephemeral port; --port-file writes the
+//     bound port for race-free rendezvous. This is how a remote shard
+//     joins a `saim_shard --connect host:port` fleet — start it with
+//     --stream, which the sharding router requires. With --auth-token
+//     the first line of every connection must be the {"auth":"<token>"}
 //     handshake or the connection is closed unserved (fail-closed).
 //
 // Output modes (per session): default collects results until EOF and
@@ -51,40 +49,27 @@
 // rejected (malformed JSON, unknown backend, unreadable instance); bad
 // lines emit {"id":...,"error":...} and do not sink the rest of the
 // stream.
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "net/connection.hpp"
-#include "net/listener.hpp"
-#include "obs/metrics.hpp"
 #include "obs/metrics_server.hpp"
 #include "service/event_server.hpp"
 #include "service/service_stats.hpp"
 #include "service/solve_service.hpp"
 #include "service/stream_session.hpp"
 #include "util/cli.hpp"
-#include "util/jsonl.hpp"
 #include "util/logging.hpp"
 
 namespace {
 
 using namespace saim;
 
-/// --listen settings shared by both server flavours.
+/// --listen settings.
 struct ListenConfig {
   std::string spec;
   std::string port_file;
@@ -93,15 +78,6 @@ struct ListenConfig {
   int auth_timeout_ms = 10'000;
   int idle_timeout_ms = 0;
 };
-
-std::optional<net::HostPort> parse_listen_spec(const std::string& spec) {
-  const auto hostport = net::parse_hostport(spec);
-  if (!hostport) {
-    util::log_error() << "saim_serve: bad --listen '" << spec
-                      << "' (want host:port)";
-  }
-  return hostport;
-}
 
 /// The port file is the rendezvous for port 0 (ephemeral): written
 /// atomically enough for a single int — readers poll until nonempty.
@@ -116,56 +92,17 @@ bool write_port_file(const std::string& path, int port) {
   return true;
 }
 
-enum class AuthResult { kOk, kRejected, kTimedOut };
-
-/// Reads the connection's first line and checks it against the shared
-/// secret: exactly {"auth":"<token>"}. Anything else — wrong token, no
-/// auth field, malformed JSON, the peer closing first, or (with
-/// timeout_ms > 0) the deadline passing before a full line arrives —
-/// fails closed.
-AuthResult check_auth(int fd, const std::string& token, int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  std::string line;
-  char c = 0;
-  while (line.size() < 4096) {
-    if (timeout_ms > 0) {
-      const long long remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now())
-              .count();
-      if (remaining <= 0) return AuthResult::kTimedOut;
-      pollfd pfd{fd, POLLIN, 0};
-      const int rc = ::poll(
-          &pfd, 1, static_cast<int>(std::min<long long>(remaining, 1000)));
-      if (rc < 0 && errno != EINTR) return AuthResult::kRejected;
-      if (rc <= 0) continue;  // tick or EINTR: recheck the deadline
-    }
-    const ssize_t n = ::read(fd, &c, 1);
-    if (n <= 0) return AuthResult::kRejected;  // closed before handshake
-    if (c == '\n') break;
-    line.push_back(c);
+/// The --listen server: the event-driven front door (service/EventServer
+/// — see its header for the backpressure, cap and deadline semantics).
+int serve_listen(service::SolveService& svc,
+                 const service::SessionOptions& session_options,
+                 const ListenConfig& config) {
+  const auto hostport = net::parse_hostport(config.spec);
+  if (!hostport) {
+    util::log_error() << "saim_serve: bad --listen '" << config.spec
+                      << "' (want host:port)";
+    return 2;
   }
-  try {
-    const util::JsonValue parsed = util::parse_json(line);
-    if (!parsed.is_object()) return AuthResult::kRejected;
-    const auto* auth = parsed.find("auth");
-    return auth != nullptr && auth->as_string() == token
-               ? AuthResult::kOk
-               : AuthResult::kRejected;
-  } catch (const std::exception&) {
-    return AuthResult::kRejected;
-  }
-}
-
-/// The default --listen server: the event-driven front door
-/// (service/EventServer — see its header for the backpressure, cap and
-/// deadline semantics).
-int serve_listen_event(service::SolveService& svc,
-                       const service::SessionOptions& session_options,
-                       const ListenConfig& config) {
-  const auto hostport = parse_listen_spec(config.spec);
-  if (!hostport) return 2;
   service::EventServerOptions options;
   options.host = hostport->host;
   options.port = hostport->port;
@@ -183,148 +120,8 @@ int serve_listen_event(service::SolveService& svc,
   }
   if (!write_port_file(config.port_file, server->port())) return 2;
   util::log_info() << "saim_serve: listening on " << hostport->host << ":"
-                   << server->port() << " (event loop)";
+                   << server->port();
   return server->run();
-}
-
-/// The legacy --threaded server: one session thread per connection.
-/// Kept for one release as the escape hatch while the event loop is the
-/// default; shares the connection cap, auth deadline and metric names
-/// with it so the two are operationally interchangeable.
-int serve_listen_threaded(service::SolveService& svc,
-                          const service::SessionOptions& session_options,
-                          const ListenConfig& config) {
-  const auto hostport = parse_listen_spec(config.spec);
-  if (!hostport) return 2;
-  std::unique_ptr<net::Listener> listener;
-  try {
-    listener = std::make_unique<net::Listener>(hostport->host,
-                                               hostport->port);
-  } catch (const std::exception& e) {
-    util::log_error() << "saim_serve: " << e.what();
-    return 2;
-  }
-  if (!write_port_file(config.port_file, listener->port())) return 2;
-  util::log_info() << "saim_serve: listening on " << hostport->host << ":"
-                   << listener->port() << " (threaded)";
-
-  // Same metric names as the event server (docs/PROTOCOL.md): either
-  // front door feeds the same dashboards and stats "connections" object.
-  obs::Counter& accepted_metric =
-      svc.metrics().counter("saim_connections_accepted_total",
-                            "connections accepted by the listen server");
-  obs::Counter& rejected_metric = svc.metrics().counter(
-      "saim_connections_rejected_total",
-      "connections closed unserved: over the connection cap");
-  obs::Counter& timed_out_metric = svc.metrics().counter(
-      "saim_sessions_timed_out_total",
-      "connections dropped by the auth or idle deadline");
-  obs::Gauge& open_metric = svc.metrics().gauge(
-      "saim_connections_open", "connections open right now");
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> any_error{false};
-  // The server owns every client fd (sessions borrow them): fds stay
-  // valid until after their thread joins, so the shutdown() below can
-  // never race a close-and-reuse.
-  struct ClientSession {
-    std::thread thread;
-    int fd = -1;
-    std::atomic<bool> done{false};
-  };
-  std::vector<std::unique_ptr<ClientSession>> sessions;
-  const auto reap_finished = [&sessions] {
-    std::erase_if(sessions, [](const std::unique_ptr<ClientSession>& s) {
-      if (!s->done.load()) return false;
-      s->thread.join();
-      ::close(s->fd);
-      return true;
-    });
-  };
-  while (!stop.load()) {
-    pollfd pfd{listener->fd(), POLLIN, 0};
-    ::poll(&pfd, 1, 100);
-    // Reap on EVERY 100 ms tick, accepts or not: a long-lived server
-    // must not hoard dead threads or their client fds, even when no new
-    // client ever connects again.
-    reap_finished();
-    open_metric.set(static_cast<double>(sessions.size()));
-    const auto fd = listener->accept_fd();
-    if (!fd) continue;
-    if (sessions.size() >= config.max_connections) {
-      // Fail fast, same as the event server: close unserved, count it.
-      ::close(*fd);
-      rejected_metric.add();
-      util::log_warn() << "saim_serve: rejected connection (cap "
-                       << config.max_connections << " reached)";
-      continue;
-    }
-    accepted_metric.add();
-    auto session = std::make_unique<ClientSession>();
-    session->fd = *fd;
-    auto* raw = session.get();
-    session->thread = std::thread([&, raw] {
-      if (!config.auth_token.empty()) {
-        const AuthResult auth =
-            check_auth(raw->fd, config.auth_token, config.auth_timeout_ms);
-        if (auth != AuthResult::kOk) {
-          // Closed before any job line is read: an unauthenticated peer
-          // never reaches the parser, the service, or the filesystem.
-          if (auth == AuthResult::kTimedOut) {
-            timed_out_metric.add();
-            util::log_warn() << "saim_serve: dropped connection (no auth "
-                                "within "
-                             << config.auth_timeout_ms << " ms)";
-          } else {
-            util::log_warn()
-                << "saim_serve: closed unauthenticated connection";
-          }
-          ::shutdown(raw->fd, SHUT_RDWR);
-          raw->done.store(true);
-          return;
-        }
-      }
-      service::FdSessionIO io(raw->fd, /*owns_fd=*/false);
-      const auto result =
-          service::run_stream_session(svc, io, session_options);
-      if (result.any_error) any_error.store(true);
-      if (result.shutdown) stop.store(true);
-      raw->done.store(true);
-    });
-    sessions.push_back(std::move(session));
-    open_metric.set(static_cast<double>(sessions.size()));
-  }
-  listener->close();
-  // Unblock sessions parked in read (an idle client must not veto the
-  // shutdown): half-close their READ side only — accepted jobs still
-  // drain out over the intact write side before each session exits.
-  for (auto& session : sessions) {
-    if (!session->done.load()) ::shutdown(session->fd, SHUT_RD);
-  }
-  // Healthy clients get a grace period to receive their tails; then a
-  // full shutdown unwedges any session blocked WRITING to a client
-  // that stopped reading (its remaining output is forfeit — that
-  // client was not consuming it anyway).
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  const auto all_done = [&] {
-    for (const auto& session : sessions) {
-      if (!session->done.load()) return false;
-    }
-    return true;
-  };
-  while (!all_done() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  for (auto& session : sessions) {
-    if (!session->done.load()) ::shutdown(session->fd, SHUT_RDWR);
-  }
-  for (auto& session : sessions) {
-    session->thread.join();
-    ::close(session->fd);
-  }
-  open_metric.set(0.0);
-  return any_error.load() ? 1 : 0;
 }
 
 }  // namespace
@@ -346,9 +143,6 @@ int main(int argc, char** argv) {
                 "shared secret for --listen: clients must open with "
                 "{\"auth\":\"<token>\"} or the connection is closed",
                 "")
-      .add_bool("threaded",
-                "serve --listen with the legacy thread-per-connection "
-                "server instead of the event loop (kept one release)")
       .add_flag("max-connections",
                 "open-connection cap for --listen; further accepts are "
                 "closed immediately",
@@ -358,8 +152,8 @@ int main(int argc, char** argv) {
                 "--auth-token handshake within this deadline (0 disables)",
                 "10000")
       .add_flag("idle-timeout-ms",
-                "drop an event-loop --listen connection idle this long "
-                "with nothing in flight (0 disables)",
+                "drop a --listen connection idle this long with nothing "
+                "in flight (0 disables)",
                 "0")
       .add_flag("workers", "solver worker threads (0 = hardware)", "0")
       .add_flag("cache", "result-cache capacity (0 disables)", "256")
@@ -456,10 +250,7 @@ int main(int argc, char** argv) {
         std::max<std::int64_t>(0, args.get_int("auth-timeout-ms")));
     listen_config.idle_timeout_ms = static_cast<int>(
         std::max<std::int64_t>(0, args.get_int("idle-timeout-ms")));
-    exit_code =
-        args.get_bool("threaded")
-            ? serve_listen_threaded(svc, session_options, listen_config)
-            : serve_listen_event(svc, session_options, listen_config);
+    exit_code = serve_listen(svc, session_options, listen_config);
   } else {
     std::ifstream file_in;
     const std::string input = args.get("input");
@@ -483,10 +274,8 @@ int main(int argc, char** argv) {
     }
     std::ostream& out = output == "-" ? std::cout : file_out;
 
-    service::IostreamSessionIO io(in, out);
-    const auto result = service::run_stream_session(svc, io,
-                                                    session_options);
-    out.flush();
+    const auto result =
+        service::run_stream_session(svc, in, out, session_options);
     exit_code = result.any_error ? 1 : 0;
   }
 
