@@ -96,9 +96,8 @@ void BM_QuboToIsing(benchmark::State& state) {
   const auto inst = bench_instance(static_cast<std::size_t>(state.range(0)),
                                    50);
   const auto mapping = problems::qkp_to_problem(inst);
-  lagrange::LagrangianModel model(mapping.problem, 2.0);
   for (auto _ : state) {
-    auto ising = ising::qubo_to_ising(model.qubo());
+    auto ising = ising::qubo_to_ising(mapping.problem.objective());
     benchmark::DoNotOptimize(ising.field(0));
   }
 }

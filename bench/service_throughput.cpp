@@ -39,8 +39,10 @@
 //     through 2 shards at replication R=1 vs R=2 with hot-key routing:
 //     under R=1 the whole stream serializes on the key's owner while the
 //     other shard idles; under R=2 twins spread over the replica set, so
-//     R=2 should beat R=1 on multicore boxes and the JSON records the
-//     speedup plus how many twins were replica-routed.
+//     R=2 should beat R=1 on multicore boxes. The two configurations
+//     alternate over several waves each and the JSON records their
+//     median jobs/sec, the speedup of the medians and how many twins
+//     were replica-routed.
 //   * open_loop — the event-driven `saim_serve --listen` front door
 //     under an open-loop generator (bench/load_gen.hpp): jobs arrive on
 //     a fixed Poisson schedule at several rates and latency is measured
@@ -84,6 +86,7 @@
 #include "util/cli.hpp"
 #include "util/jsonl.hpp"
 #include "util/parallel.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -700,33 +703,50 @@ int main(int argc, char** argv) {
           .field("cache", false);
       hot_lines.push_back(line.str());
     }
-    double jps[2] = {0.0, 0.0};
+    // One wave is ~30 ms, so a single wave per configuration is at the
+    // mercy of whatever else the box does in that slice, and a fixed
+    // R=1-then-R=2 order hands any warm-up drift to one side. Alternate
+    // the configurations over kSkewWaves waves each (the leader swaps
+    // every round) and compare the medians.
+    constexpr std::size_t kSkewWaves = 7;
+    std::vector<double> wave_jps[2];
     std::uint64_t replica_hits = 0;
-    for (const std::size_t replicas : {std::size_t{1}, std::size_t{2}}) {
-      service::RouterOptions router_options;
-      router_options.replicas = replicas;
-      router_options.hot_key_depth = replicas == 2 ? 2 : 0;
-      service::ShardRouter::Stats stats;
-      const double seconds =
-          run_sharded_wave(serve, 2, {}, hot_lines, /*latency=*/nullptr,
-                           router_options, &stats);
-      jps[replicas - 1] =
-          seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
-      if (replicas == 2) replica_hits = stats.replica_hits;
-      std::printf("  skewed R=%zu: %6.2f jobs/sec (%.2fs, %llu twins "
-                  "replica-routed)\n",
-                  replicas, jps[replicas - 1], seconds,
-                  static_cast<unsigned long long>(stats.replica_hits));
+    for (std::size_t w = 0; w < kSkewWaves; ++w) {
+      const std::size_t order[2][2] = {{1, 2}, {2, 1}};
+      for (const std::size_t replicas : order[w % 2]) {
+        service::RouterOptions router_options;
+        router_options.replicas = replicas;
+        router_options.hot_key_depth = replicas == 2 ? 2 : 0;
+        service::ShardRouter::Stats stats;
+        const double seconds =
+            run_sharded_wave(serve, 2, {}, hot_lines, /*latency=*/nullptr,
+                             router_options, &stats);
+        wave_jps[replicas - 1].push_back(
+            seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0);
+        if (replicas == 2) replica_hits += stats.replica_hits;
+      }
     }
-    const double speedup = jps[0] > 0 ? jps[1] / jps[0] : 0.0;
+    const util::QuartileSummary r1 = util::summarize(wave_jps[0]);
+    const util::QuartileSummary r2 = util::summarize(wave_jps[1]);
+    std::printf("  skewed R=1: median %6.2f jobs/sec (IQR %.2f) over %zu "
+                "waves\n",
+                r1.median, r1.iqr(), kSkewWaves);
+    std::printf("  skewed R=2: median %6.2f jobs/sec (IQR %.2f) over %zu "
+                "waves, %llu twins replica-routed\n",
+                r2.median, r2.iqr(), kSkewWaves,
+                static_cast<unsigned long long>(replica_hits));
+    const double speedup = r1.median > 0 ? r2.median / r1.median : 0.0;
     std::printf("  skewed-key replication win (R=2 over R=1): %.2fx\n",
                 speedup);
     skewed_json.field("skipped", false)
-        .field("r1_jobs_per_sec", jps[0])
-        .field("r2_jobs_per_sec", jps[1])
+        .field("waves", static_cast<std::uint64_t>(kSkewWaves))
+        .field("r1_jobs_per_sec", r1.median)
+        .field("r2_jobs_per_sec", r2.median)
+        .field("r1_iqr", r1.iqr())
+        .field("r2_iqr", r2.iqr())
         .field("speedup", speedup)
         .field("replica_hits", replica_hits)
-        .field("r2_beats_r1", jps[1] > jps[0]);
+        .field("r2_beats_r1", r2.median > r1.median);
   }
 
   // ---------------------------------------------------------- hedge phase

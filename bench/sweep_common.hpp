@@ -39,17 +39,33 @@ inline problems::QkpInstance bench_instance(std::size_t n, int density) {
 }
 
 // Both sweep variants run identical Metropolis dynamics; the only
-// difference is how the local field I_i is obtained: a fresh CSR scan per
-// visit (O(deg), the pre-LocalFieldState code path) vs an O(1) read from
-// the incrementally maintained engine. The gap is largest at late-anneal
-// betas where hardly anything flips, which is where SAIM spends most of
-// its MCS budget.
+// difference is how the local field I_i is obtained: computed from
+// scratch per visit (a CSR scan of J plus the penalty share with every
+// row activity S_r re-summed from its row — the pre-LocalFieldState code
+// path) vs a read of the incrementally maintained engine. The gap is
+// largest at late-anneal betas where hardly anything flips, which is
+// where SAIM spends most of its MCS budget.
+
+/// I_i from scratch: J_f's CSR row, h_i, and -(P/2) sum_{r∋i} a_ri
+/// (S_r - a_ri m_i) with each S_r summed afresh from its row.
+inline double recompute_input(const ising::IsingModel& model,
+                              const ising::Adjacency& adj,
+                              const ising::Spins& m, std::size_t i) {
+  const double base = adj.coupling_input(m, i) + model.field(i);
+  if (adj.penalty_rows() == 0) return base;
+  const auto mi = static_cast<double>(m[i]);
+  double acc = 0.0;
+  for (const ising::ColumnEntry& e : adj.column(i)) {
+    acc += e.coef * (model.activity(m, e.row) - e.coef * mi);
+  }
+  return base + adj.neg_half_penalty() * acc;
+}
 
 inline void recompute_sweep(const ising::IsingModel& model,
                             const ising::Adjacency& adj, ising::Spins& m,
                             double beta, util::Xoshiro256pp& rng) {
   for (std::size_t i = 0; i < m.size(); ++i) {
-    const double in = adj.coupling_input(m, i) + model.field(i);
+    const double in = recompute_input(model, adj, m, i);
     const double delta = 2.0 * static_cast<double>(m[i]) * in;
     if (delta <= 0.0 || rng.uniform01() < std::exp(-beta * delta)) {
       m[i] = static_cast<std::int8_t>(-m[i]);
@@ -62,7 +78,7 @@ inline void incremental_sweep(ising::LocalFieldState& lfs, ising::Spins& m,
   for (std::size_t i = 0; i < m.size(); ++i) {
     const double delta = lfs.flip_delta(m, i);
     if (delta <= 0.0 || rng.uniform01() < std::exp(-beta * delta)) {
-      lfs.flip(m, i);
+      lfs.flip(m, i, delta);
     }
   }
 }
@@ -235,11 +251,38 @@ inline AggregateRates measure_anneal_aggregate(
   return rates;
 }
 
+/// Fraction of spin visits that flip over one scalar Metropolis anneal
+/// (MetropolisSa's dynamics on the paper's linear ramp) — the rate every
+/// flip-apply cost is multiplied by.
+inline double measure_flips_per_visit(const ising::IsingModel& model,
+                                      const ising::Adjacency& adj,
+                                      double beta_end, std::size_t sweeps) {
+  const pbit::Schedule schedule = pbit::Schedule::linear(beta_end);
+  util::Xoshiro256pp rng(util::derive_seed(99, 0));
+  ising::Spins m(model.n());
+  for (auto& s : m) s = rng.bernoulli(0.5) ? 1 : -1;
+  ising::LocalFieldState lfs(model, adj);
+  lfs.reset(m);
+  std::size_t flips = 0;
+  for (std::size_t t = 0; t < sweeps; ++t) {
+    const double beta = schedule.beta(t, sweeps);
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      const double delta = lfs.flip_delta(m, i);
+      if (delta <= 0.0 || rng.uniform01() < std::exp(-beta * delta)) {
+        lfs.flip(m, i, delta);
+        ++flips;
+      }
+    }
+  }
+  return static_cast<double>(flips) /
+         static_cast<double>(sweeps * model.n());
+}
+
 // Sparse ±1 spin glass, ~deg-6, with half-integer fields so no spin ever
 // sees an exactly-zero local field (no delta == 0 plateau oscillation).
-// Dense Lagrangian models keep the bit-sliced engine memory-bound in
-// apply-flips; sparse couplings are where the word-level parallelism pays
-// in full, and they are the standard Ising-machine sweep benchmark.
+// Dense objective couplings (QKP) keep the bit-sliced engine memory-bound
+// in apply-flips; sparse couplings are where the word-level parallelism
+// pays in full, and they are the standard Ising-machine sweep benchmark.
 inline ising::IsingModel sparse_glass(std::size_t n, std::uint64_t seed) {
   ising::IsingModel model(n);
   util::Xoshiro256pp rng(seed);

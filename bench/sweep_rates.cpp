@@ -1,13 +1,17 @@
 // Standalone sweep-throughput report: times the recompute / incremental /
 // SIMD-vectorized / bit-sliced sweep engines on the paper's density-0.25
-// QKP-200 Ising model and on a sparse ±1 spin glass, and writes
-// BENCH_sweep.json. Deliberately free of the google-benchmark dependency
-// so CI can always build it and gate on the numbers; the exploratory
-// micro benchmarks live in bench/micro_ops.cpp.
+// QKP-200 Ising model, on the paper's MKP-100-5 Lagrangian (a linear
+// objective: no couplings, only the factored penalty block) and on a
+// sparse ±1 spin glass, and writes BENCH_sweep.json. Deliberately free
+// of the google-benchmark dependency so CI can always build it and gate
+// on the numbers; the exploratory micro benchmarks live in
+// bench/micro_ops.cpp.
 //
 // Usage: bench_sweep_rates [output.json]
 #include <cstdio>
 
+#include "core/params.hpp"
+#include "problems/mkp.hpp"
 #include "sweep_common.hpp"
 
 namespace {
@@ -67,12 +71,30 @@ int write_bench_sweep_json(const char* path) {
       measure_anneal_aggregate(ising, adj, beta_late, agg_sweeps,
                                agg_replicas);
 
+  // MKP-100-5 at the paper's MKP settings (P = 5dN, linear ramp to beta
+  // 50): the penalty is the whole quadratic part, so the model has no
+  // couplings and each spin reaches its 1-5 rows through its column of A.
+  // Scalar and 64-lane rates over the full anneal, plus the flip rate.
+  const auto mkp = problems::make_paper_mkp(100, 5, 1);
+  const auto mkp_mapping = problems::mkp_to_problem(mkp);
+  const core::ExperimentParams mkp_params = core::mkp_paper_params();
+  const lagrange::LagrangianModel mkp_model(
+      mkp_mapping.problem,
+      lagrange::heuristic_penalty(mkp_mapping.problem,
+                                  mkp_params.penalty_alpha));
+  const ising::IsingModel& mkp_ising = mkp_model.ising();
+  const ising::Adjacency mkp_adj(mkp_ising);
+  const AggregateRates mkp_rates = measure_anneal_aggregate(
+      mkp_ising, mkp_adj, mkp_params.beta_max, agg_sweeps, agg_replicas);
+  const double mkp_flips_per_visit = measure_flips_per_visit(
+      mkp_ising, mkp_adj, mkp_params.beta_max, agg_sweeps);
+
   // Headline number (and the CI floor): fixed-beta sweep throughput on a
   // sparse spin glass, the regime the word-parallel engine is built for.
-  // The dense Lagrangian numbers above stay in the file — they are
-  // bounded by apply-flips memory traffic (a 4-lane plane walk fires when
-  // ANY of its lanes flips, ~4x the scalar engine's bytes per lane at
-  // uncorrelated flip rates), not by the sweep kernels.
+  // The QKP numbers above stay in the file — with the objective's dense
+  // couplings they are bounded by apply-flips memory traffic (a 4-lane
+  // plane walk fires when ANY of its lanes flips, ~4x the scalar engine's
+  // bytes per lane at uncorrelated flip rates), not by the sweep kernels.
   const ising::IsingModel glass = sparse_glass(512, 11);
   const ising::Adjacency glass_adj(glass);
   const SweepRates glass_late =
@@ -152,6 +174,22 @@ int write_bench_sweep_json(const char* path) {
                glass_aggregate.scalar_replica_sweeps_per_sec,
                glass_aggregate.bitsliced_replica_sweeps_per_sec,
                glass_aggregate.speedup());
+  std::fprintf(f,
+               "  \"mkp_100_5\": {\"instance\": \"mkp:100-5-1\", "
+               "\"spins\": %zu, \"couplings\": %zu, \"rows\": %zu, "
+               "\"nnz_a\": %zu,\n",
+               mkp_ising.n(), mkp_ising.nnz(), mkp_ising.penalty_rows(),
+               mkp_ising.penalty_nnz());
+  std::fprintf(f,
+               "    \"replicas\": %zu, \"sweeps\": %zu, "
+               "\"schedule\": \"linear_beta_0_to_%.1f\", "
+               "\"scalar_sweeps_per_sec\": %.1f, "
+               "\"bitsliced64_replica_sweeps_per_sec\": %.1f, "
+               "\"bitsliced_speedup\": %.3f, \"flips_per_visit\": %.4f},\n",
+               agg_replicas, agg_sweeps, mkp_params.beta_max,
+               mkp_rates.scalar_replica_sweeps_per_sec,
+               mkp_rates.bitsliced_replica_sweeps_per_sec, mkp_rates.speedup(),
+               mkp_flips_per_visit);
   std::fprintf(f, "  \"speedup_early\": %.3f,\n", early.speedup());
   std::fprintf(f, "  \"speedup_late\": %.3f,\n", late.speedup());
   std::fprintf(f, "  \"bitsliced_speedup_early\": %.3f,\n",
@@ -169,10 +207,12 @@ int write_bench_sweep_json(const char* path) {
   std::printf(
       "%s: incremental early %.2fx late %.2fx | "
       "bit-sliced x64 dense early %.2fx late %.2fx aggregate %.2fx | "
-      "sparse late x32 %.2fx x64 %.2fx aggregate %.2fx\n",
+      "sparse late x32 %.2fx x64 %.2fx aggregate %.2fx | "
+      "mkp_100_5 scalar %.0f sweeps/s x64 %.2fx\n",
       path, early.speedup(), late.speedup(), bitsliced_speedup_early,
       bitsliced_speedup_late, aggregate.speedup(), glass_speedup_late32,
-      glass_speedup_late, glass_aggregate.speedup());
+      glass_speedup_late, glass_aggregate.speedup(),
+      mkp_rates.scalar_replica_sweeps_per_sec, mkp_rates.speedup());
   return 0;
 }
 

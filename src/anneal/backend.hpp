@@ -7,9 +7,9 @@
 //   * MetropolisSaBackend    — classical single-flip simulated annealing
 //   * ParallelTemperingBackend — replica-exchange MC (the PT-DA stand-in)
 //
-// A backend is bound to one IsingModel whose *couplings* stay fixed for its
-// lifetime; SAIM rewrites the model's fields h between runs and calls
-// fields_updated().
+// A backend is bound to one IsingModel whose couplings and penalty block
+// stay fixed for its lifetime; SAIM rewrites the model's fields h between
+// runs and calls fields_updated().
 #pragma once
 
 #include <cstddef>
@@ -37,7 +37,7 @@ class IsingSolverBackend {
   /// Binds to `model` (must outlive the backend) and builds sweep structures.
   virtual void bind(const ising::IsingModel& model) = 0;
 
-  /// Called after the bound model's fields (not couplings) changed.
+  /// Called after the bound model's fields (not J or A) changed.
   virtual void fields_updated() {}
 
   /// One independent minimization run from a random initial state.

@@ -11,6 +11,7 @@
 #pragma once
 
 #include "anneal/backend.hpp"
+#include "ising/adjacency.hpp"
 
 namespace saim::anneal {
 
@@ -32,6 +33,7 @@ class ExactBackend final : public IsingSolverBackend {
 
  private:
   const ising::IsingModel* model_ = nullptr;
+  ising::Adjacency adjacency_;
 };
 
 }  // namespace saim::anneal

@@ -40,7 +40,7 @@ void ParallelTempering::metropolis_sweep(ising::Spins& m,
   for (std::size_t i = 0; i < n; ++i) {
     const double delta = lfs.flip_delta(m, i);
     if (delta <= 0.0 || rng.uniform01() < std::exp(-beta * delta)) {
-      lfs.flip(m, i);
+      lfs.flip(m, i, delta);
     }
   }
 }

@@ -47,7 +47,7 @@ RunResult MetropolisSa::run_from(ising::Spins start,
       // when delta > 0.
       if (delta <= 0.0 ||
           util::exp_accept(rng.uniform01(), -beta * delta)) {
-        lfs.flip(result.last, i);
+        lfs.flip(result.last, i, delta);
       }
     }
     if (options.track_best && lfs.energy() < result.best_energy) {

@@ -21,7 +21,7 @@ struct SaOptions {
 
 class MetropolisSa {
  public:
-  /// Model must outlive the annealer; builds the coupling CSR once.
+  /// Model must outlive the annealer; builds the sweep view once.
   explicit MetropolisSa(const ising::IsingModel& model);
 
   /// One annealing run from a uniform random state.
@@ -32,8 +32,8 @@ class MetropolisSa {
   RunResult run_from(ising::Spins start, const pbit::Schedule& schedule,
                      const SaOptions& options, util::Xoshiro256pp& rng) const;
 
-  /// Bound model / CSR — shared with the bit-sliced batch path so it runs
-  /// over the exact same couplings and live fields as the scalar sweeps.
+  /// Bound model / sweep view — shared with the bit-sliced batch path so it
+  /// runs over the exact same J, A and live fields as the scalar sweeps.
   [[nodiscard]] const ising::IsingModel& model() const noexcept {
     return *model_;
   }

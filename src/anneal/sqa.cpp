@@ -70,7 +70,7 @@ RunResult SimulatedQuantumAnnealer::run(util::Xoshiro256pp& rng) const {
       const std::size_t up = (k + 1) % slices;
       const std::size_t down = (k + slices - 1) % slices;
       for (std::size_t i = 0; i < n; ++i) {
-        const double classical_in = fields[k].field(i);
+        const double classical_in = fields[k].field(state[k], i);
         const double classical_delta =
             2.0 * static_cast<double>(state[k][i]) * classical_in / m_d;
         const double quantum_delta =
@@ -81,7 +81,9 @@ RunResult SimulatedQuantumAnnealer::run(util::Xoshiro256pp& rng) const {
         if (delta <= 0.0 ||
             rng.uniform01() < std::exp(-options_.beta * delta)) {
           // flip() tracks the un-scaled classical energy for readout.
-          fields[k].flip(state[k], i);
+          fields[k].flip(state[k], i,
+                         2.0 * static_cast<double>(state[k][i]) *
+                             classical_in);
           if (fields[k].energy() < result.best_energy) {
             result.best_energy = fields[k].energy();
             result.best = state[k];

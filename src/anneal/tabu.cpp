@@ -58,7 +58,7 @@ RunResult TabuSearch::run(util::Xoshiro256pp& rng) const {
     }
 
     // Apply the move.
-    lfs.flip(state, best_move);
+    lfs.flip(state, best_move, best_delta);
     tabu_until[best_move] = step + options_.tenure;
 
     if (lfs.energy() < result.best_energy - 1e-15) {

@@ -2,8 +2,8 @@
 //
 // The service's queue regularly holds several jobs over ONE problem
 // instance (hot instances in a traffic stream). Run one at a time, each
-// job pays the full setup tax: normalize -> LagrangianModel (couplings,
-// O(nnz)) -> backend bind (adjacency CSR, O(edges)). BatchSaimSolver pays
+// job pays the full setup tax: normalize -> LagrangianModel (J + penalty
+// rows, O(nnz)) -> backend bind (sweep view, O(nnz)). BatchSaimSolver pays
 // it once: a single LagrangianModel and a single bound backend are shared
 // by all members, whose DualAscents advance in lockstep rounds. Because a
 // lambda update only rewrites the Ising *fields* (see lagrangian_model.hpp)
@@ -13,7 +13,7 @@
 // bit-identical to solo runs (pinned by tests/service_batch_test.cpp).
 //
 // Members may differ in seed, eta, iterations, replicas, deadlines — but
-// NOT in anything that shapes couplings (penalty / penalty_alpha) or in
+// NOT in anything that shapes J or A (penalty / penalty_alpha) or in
 // the backend they want; the service's batch key guarantees that. Each
 // member carries its own StopToken: a deadline or cancel lands between
 // that member's iterations (and inside its inner runs via the backend's

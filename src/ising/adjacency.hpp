@@ -1,11 +1,15 @@
-// Compressed-sparse-row view of an Ising coupling matrix.
+// Sparse sweep view of an IsingModel: the compressed-sparse-row couplings
+// of J plus the per-spin column view of the penalty block's rows A.
 //
 // The dense IsingModel rows make model construction simple, but Monte-Carlo
 // sweeps only need each spin's nonzero neighbours. For the paper's QKP
 // instances with density 0.25-0.5 a CSR scan does 2-4x less memory traffic
-// per sweep. The CSR is built once per SAIM run: lambda updates change only
-// the fields h (see ising/convert.hpp), never the couplings, so the
-// adjacency stays valid across all K outer iterations.
+// per sweep. The penalty P ||Ax - b||^2 is never expanded into couplings:
+// a spin's share of it is read through its column of A (the rows r with
+// a_ri != 0) and the row activities S_r = sum_j a_rj m_j, so a Lagrangian
+// model with a linear objective has no CSR edges at all. Both views are
+// built once per SAIM run: lambda updates change only the fields h (see
+// lagrange/lagrangian_model.hpp), never J or A.
 #pragma once
 
 #include <cstddef>
@@ -18,11 +22,19 @@
 
 namespace saim::ising {
 
+/// One nonzero a_ri of spin i's column of A.
+struct ColumnEntry {
+  std::uint32_t row = 0;
+  double coef = 0.0;
+};
+
 class Adjacency {
  public:
   Adjacency() = default;
 
-  /// Builds CSR from the model's nonzero couplings (both directions stored).
+  /// Builds the CSR from the model's nonzero couplings (both directions
+  /// stored) and, when the model has a penalty block with P != 0, the
+  /// column view of its rows.
   explicit Adjacency(const IsingModel& model);
 
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
@@ -76,11 +88,53 @@ class Adjacency {
     return acc;
   }
 
+  /// Rows of the penalty block this view carries (0 when the model has
+  /// none or P == 0).
+  [[nodiscard]] std::size_t penalty_rows() const noexcept { return rows_; }
+
+  /// Spin i's column of A, in ascending row order.
+  [[nodiscard]] std::span<const ColumnEntry> column(
+      std::size_t i) const noexcept {
+    return {column_.data() + col_offsets_[i],
+            col_offsets_[i + 1] - col_offsets_[i]};
+  }
+
+  /// -P/2, the factor of the penalty share of a spin's input.
+  [[nodiscard]] double neg_half_penalty() const noexcept {
+    return neg_half_penalty_;
+  }
+
+  /// The penalty block's share of I_i,
+  ///     -(P/2) * sum_{r∋i} a_ri (S_r - a_ri m_i) ,
+  /// accumulated from +0.0 in column order with one rounding per
+  /// operation as written. The bit-sliced engine mirrors this expression
+  /// lane by lane; keep the two in step. O(nnz(A[:,i])).
+  [[nodiscard]] double penalty_input(const double* activity, std::int8_t mi,
+                                     std::size_t i) const noexcept {
+    const auto m = static_cast<double>(mi);
+    double acc = 0.0;
+    for (const ColumnEntry& e : column(i)) {
+      acc += e.coef * (activity[e.row] - e.coef * m);
+    }
+    return neg_half_penalty_ * acc;
+  }
+
+  /// S_r = sum_i a_ri m_i for every row, summed in ascending spin order —
+  /// the row order IsingModel::activity uses, so the two agree bit for
+  /// bit. `out` has penalty_rows() entries.
+  void activities(std::span<const std::int8_t> m,
+                  std::span<double> out) const noexcept;
+
  private:
   std::size_t n_ = 0;
   std::vector<std::size_t> offsets_;    ///< n+1 entries
   std::vector<std::uint32_t> indices_;  ///< neighbour spin ids
   std::vector<double> weights_;         ///< matching J_ij values
+
+  std::size_t rows_ = 0;
+  double neg_half_penalty_ = 0.0;
+  std::vector<std::size_t> col_offsets_;  ///< n+1 entries
+  std::vector<ColumnEntry> column_;
 };
 
 }  // namespace saim::ising

@@ -39,16 +39,19 @@ inline F64x4 nibble_mask_f64(unsigned nib) noexcept {
 
 /// Workspace of one 64-lane group. The per-spin fp arrays are PLANE-major:
 /// chunk c (lanes 4c..4c+3) owns a contiguous plane of n 4-lane rows at
-/// [(c*n + i)*4]. A sweep processes one chunk's plane end to end with the
-/// chunk's RNG state and energies held in registers, and a flip's
-/// neighborhood update walks only that plane — sequentially for dense
-/// rows — instead of scattering 64-lane-wide words.
+/// [(c*n + i)*4], and likewise a plane of `rows` 4-lane penalty row
+/// activities at [(c*rows + r)*4]. A sweep processes one chunk's planes
+/// end to end with the chunk's RNG state and energies held in registers,
+/// and a flip's update walks only that chunk's J neighbourhood and the
+/// spin's column of A instead of scattering 64-lane-wide words.
 struct Group {
   std::size_t n = 0;
+  std::size_t rows = 0;    ///< penalty rows (adjacency.penalty_rows())
   std::size_t lanes = 0;   ///< active lanes in this group (<= 64)
   std::size_t chunks = 0;  ///< ceil(lanes / 4)
   std::vector<std::uint64_t> spins;  ///< n words; bit b set <=> lane b is -1
   std::vector<double> coupling;      ///< C planes, chunks*n*4
+  std::vector<double> activity;      ///< S planes, chunks*rows*4
   /// Set when every lane reads the same per-spin field vector (the
   /// run_batch case): the sweep broadcasts an 8-byte scalar instead of
   /// streaming a 32-byte H-plane row, halving sweep read traffic.
@@ -102,10 +105,12 @@ constexpr double kTanhSaturated = util::accept_detail::kTanhSat;
 constexpr double kTanhSatMargin = util::accept_detail::kTanhSatLo;
 
 /// Pushes ±2*J_ij onto the flipped lanes of chunk plane `cplane` for every
-/// neighbor of spin i. `sgn` carries the sign bit of each lane's NEW spin
-/// (scalar flip() adds 2*J*m_new); `fmask` selects the flipped lanes.
+/// neighbor of spin i, and ±2*a_ri onto the activity plane `splane` for
+/// every row of spin i's column. `sgn` carries the sign bit of each lane's
+/// NEW spin (scalar flip() adds 2*J*m_new and 2*a*m_new); `fmask` selects
+/// the flipped lanes.
 inline void apply_flips_plane(const Adjacency& adj, std::size_t i,
-                              double* cplane, F64x4 fmask,
+                              double* cplane, double* splane, F64x4 fmask,
                               F64x4 sgn) noexcept {
   const auto nbr = adj.neighbors(i);
   const auto w = adj.weights(i);
@@ -117,6 +122,32 @@ inline void apply_flips_plane(const Adjacency& adj, std::size_t i,
     cv = util::select(fmask, cv + add, cv);
     cv.store(row);
   }
+  for (const ColumnEntry& e : adj.column(i)) {
+    const F64x4 add = util::mask_xor(F64x4::broadcast(2.0 * e.coef), sgn);
+    double* row = splane + static_cast<std::size_t>(e.row) * 4;
+    F64x4 sv = F64x4::load(row);
+    sv = util::select(fmask, sv + add, sv);
+    sv.store(row);
+  }
+}
+
+/// Local input of spin i per lane: C + h, plus the penalty share when the
+/// model has a penalty block. The share is Adjacency::penalty_input's
+/// expression lane for lane — acc from +0 in column order, a*(S - a*m)
+/// with a*m = ±a exact via the sign bits of `cur_mask` (all-ones = spin
+/// is -1), then (-P/2)*acc — so every lane rounds as the scalar engines.
+inline F64x4 visit_input(const Adjacency& adj, std::size_t i, F64x4 base,
+                         const double* splane, F64x4 cur_mask) noexcept {
+  if (splane == nullptr) return base;
+  const F64x4 msign = util::mask_and(cur_mask, F64x4::broadcast(-0.0));
+  F64x4 acc = F64x4::zero();
+  for (const ColumnEntry& e : adj.column(i)) {
+    const F64x4 a = F64x4::broadcast(e.coef);
+    const F64x4 sv =
+        F64x4::load(splane + static_cast<std::size_t>(e.row) * 4);
+    acc = acc + a * (sv - util::mask_xor(a, msign));
+  }
+  return base + F64x4::broadcast(adj.neg_half_penalty()) * acc;
 }
 
 void sweep_pbit(const Adjacency& adj, Group& g, double beta) {
@@ -133,6 +164,8 @@ void sweep_pbit(const Adjacency& adj, Group& g, double beta) {
     const unsigned active = g.active[c];
     const std::size_t off = 4 * c;
     double* cplane = g.coupling.data() + c * g.n * 4;
+    double* splane =
+        g.rows == 0 ? nullptr : g.activity.data() + c * g.rows * 4;
     const double* hplane =
         hsh != nullptr ? nullptr : g.fields.data() + c * g.n * 4;
     U64x4 s0 = U64x4::load(g.rng.data() + 0 * kW + off);
@@ -144,7 +177,10 @@ void sweep_pbit(const Adjacency& adj, Group& g, double beta) {
     for (std::size_t i = 0; i < g.n; ++i) {
       const F64x4 hv = hsh != nullptr ? F64x4::broadcast(hsh[i])
                                       : F64x4::load(hplane + i * 4);
-      const F64x4 in = F64x4::load(cplane + i * 4) + hv;
+      const unsigned cur =
+          static_cast<unsigned>((g.spins[i] >> off) & 0xFULL);
+      const F64x4 in = visit_input(adj, i, F64x4::load(cplane + i * 4) + hv,
+                                   splane, nibble_mask_f64(cur));
       const F64x4 x = betav * in;
 
       // Unconditional per-visit draw, as update_one's uniform_sym.
@@ -197,8 +233,6 @@ void sweep_pbit(const Adjacency& adj, Group& g, double beta) {
         }
       }
 
-      const unsigned cur =
-          static_cast<unsigned>((g.spins[i] >> off) & 0xFULL);
       const unsigned flip4 =
           (static_cast<unsigned>(neg_bits) ^ cur) & active;
       if (flip4 != 0) {
@@ -208,7 +242,7 @@ void sweep_pbit(const Adjacency& adj, Group& g, double beta) {
         const unsigned next = cur ^ flip4;
         g.spins[i] ^= static_cast<std::uint64_t>(flip4) << off;
         const F64x4 sgn = util::mask_and(nibble_mask_f64(next), signbit);
-        apply_flips_plane(adj, i, cplane, fmask, sgn);
+        apply_flips_plane(adj, i, cplane, splane, fmask, sgn);
       }
     }
 
@@ -235,6 +269,8 @@ void sweep_metropolis(const Adjacency& adj, Group& g, double beta) {
     const unsigned active = g.active[c];
     const std::size_t off = 4 * c;
     double* cplane = g.coupling.data() + c * g.n * 4;
+    double* splane =
+        g.rows == 0 ? nullptr : g.activity.data() + c * g.rows * 4;
     const double* hplane =
         hsh != nullptr ? nullptr : g.fields.data() + c * g.n * 4;
     U64x4 s0 = U64x4::load(g.rng.data() + 0 * kW + off);
@@ -246,10 +282,12 @@ void sweep_metropolis(const Adjacency& adj, Group& g, double beta) {
     for (std::size_t i = 0; i < g.n; ++i) {
       const F64x4 hv = hsh != nullptr ? F64x4::broadcast(hsh[i])
                                       : F64x4::load(hplane + i * 4);
-      const F64x4 in = F64x4::load(cplane + i * 4) + hv;
       const unsigned cur =
           static_cast<unsigned>((g.spins[i] >> off) & 0xFULL);
-      const F64x4 delta = flip_delta4(in, nibble_mask_f64(cur));
+      const F64x4 cur_mask = nibble_mask_f64(cur);
+      const F64x4 in = visit_input(adj, i, F64x4::load(cplane + i * 4) + hv,
+                                   splane, cur_mask);
+      const F64x4 delta = flip_delta4(in, cur_mask);
 
       // delta <= 0 accepts without a draw; only delta > 0 lanes advance
       // their stream — the scalar short-circuit, done with a masked step.
@@ -317,7 +355,7 @@ void sweep_metropolis(const Adjacency& adj, Group& g, double beta) {
         const unsigned next = cur ^ accept;
         g.spins[i] ^= static_cast<std::uint64_t>(accept) << off;
         const F64x4 sgn = util::mask_and(nibble_mask_f64(next), signbit);
-        apply_flips_plane(adj, i, cplane, fmask, sgn);
+        apply_flips_plane(adj, i, cplane, splane, fmask, sgn);
       }
     }
 
@@ -372,6 +410,7 @@ std::vector<SliceResult> BitSliceEngine::run(std::span<SliceLane> lanes,
                                              const SliceOptions& options) const {
   const Adjacency& adj = *adjacency_;
   const std::size_t n = adj.n();
+  const std::size_t rows = adj.penalty_rows();
   const std::size_t total = lanes.size();
   std::vector<SliceResult> out(total);
   if (total == 0) return out;
@@ -390,10 +429,12 @@ std::vector<SliceResult> BitSliceEngine::run(std::span<SliceLane> lanes,
 
     Group g;
     g.n = n;
+    g.rows = rows;
     g.lanes = count;
     g.chunks = (count + 3) / 4;
     g.spins.assign(n, 0);
     g.coupling.assign(g.chunks * n * 4, 0.0);
+    g.activity.assign(g.chunks * rows * 4, 0.0);
     bool shared = true;
     for (std::size_t b = 1; b < count; ++b) {
       shared = shared && lanes[lane0 + b].fields == lanes[lane0].fields;
@@ -408,6 +449,7 @@ std::vector<SliceResult> BitSliceEngine::run(std::span<SliceLane> lanes,
       g.active[c] = (1u << live) - 1u;
     }
 
+    std::vector<double> lane_activity(rows);
     for (std::size_t b = 0; b < count; ++b) {
       const SliceLane& lane = lanes[lane0 + b];
       const std::size_t plane = (b / 4) * n * 4 + (b % 4);
@@ -415,6 +457,11 @@ std::vector<SliceResult> BitSliceEngine::run(std::span<SliceLane> lanes,
         if (lane.spins[i] < 0) g.spins[i] |= std::uint64_t{1} << b;
         if (!shared) g.fields[plane + i * 4] = lane.fields[i];
         g.coupling[plane + i * 4] = adj.coupling_input(lane.spins, i);
+      }
+      adj.activities(lane.spins, lane_activity);
+      const std::size_t splane = (b / 4) * rows * 4 + (b % 4);
+      for (std::size_t r = 0; r < rows; ++r) {
+        g.activity[splane + r * 4] = lane_activity[r];
       }
       g.energy[b] = lane.energy;
       for (std::size_t j = 0; j < 4; ++j) g.rng[j * kW + b] = lane.rng[j];

@@ -1,12 +1,16 @@
 // Bit-sliced multi-replica sweep engine.
 //
 // Packs the ±1 spins of up to 64 replicas ("lanes") into one machine word
-// per spin: bit b of word S[i] holds lane b's sign of spin i. One pass over
-// spin i's CSR neighborhood then advances the local-field bookkeeping for
-// every lane at once — the coupling inputs C[i] live lane-major
-// (C[i*64+b]), so the masked neighbor updates after a flip word are
-// contiguous SIMD loads/stores, and a visit whose flip word is zero (the
-// common case at late beta) skips the neighborhood entirely.
+// per spin: bit b of the spin word of site i holds lane b's sign. One pass
+// over spin i's CSR neighborhood then advances the local-field
+// bookkeeping for every lane at once. Each 4-lane chunk keeps its
+// coupling inputs C_i (n x 4 doubles) and, for a model with a factored
+// penalty block (ising/ising_model.hpp), its row activities S_r (M x 4
+// doubles) in contiguous planes, so the masked updates after a flip are
+// contiguous SIMD loads/stores: the objective's J neighbours plus the
+// flipped spin's rows of A — never a dense penalty neighbourhood. A visit
+// whose flip nibble is zero (the common case at late beta) skips the
+// updates entirely.
 //
 // Per-lane trajectories are BIT-IDENTICAL to the scalar engines
 // (pbit::PBitMachine::anneal_from and anneal::MetropolisSa::run_from over
@@ -86,7 +90,7 @@ class BitSliceEngine {
   static constexpr std::size_t kWord = 64;  ///< lanes per group word
 
   /// Borrows the adjacency (must outlive the engine). Fields are per-lane,
-  /// so one engine serves any mix of batch members over the same couplings.
+  /// so one engine serves any mix of batch members over the same J and A.
   explicit BitSliceEngine(const Adjacency& adjacency) noexcept
       : adjacency_(&adjacency) {}
 

@@ -26,6 +26,7 @@ IsingModel qubo_to_ising(const QuboModel& qubo) {
 }
 
 QuboModel ising_to_qubo(const IsingModel& ising) {
+  if (ising.penalty_rows() != 0) return ising_to_qubo(expand_penalty(ising));
   // Inverse map: m_i = 2 x_i - 1 gives
   //   -J_ij m_i m_j = -4 J_ij x_i x_j + 2 J_ij (x_i + x_j) - J_ij
   //   -h_i m_i      = -2 h_i x_i + h_i

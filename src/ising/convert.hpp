@@ -20,7 +20,8 @@ namespace saim::ising {
 /// QUBO -> Ising, energy-preserving (H(m(x)) == E(x)).
 IsingModel qubo_to_ising(const QuboModel& qubo);
 
-/// Ising -> QUBO, energy-preserving (E(x(m)) == H(m)).
+/// Ising -> QUBO, energy-preserving (E(x(m)) == H(m)). A penalty block
+/// is expanded into pair coefficients first (ising::expand_penalty).
 QuboModel ising_to_qubo(const IsingModel& ising);
 
 /// x -> m with m_i = 2 x_i - 1.

@@ -7,6 +7,7 @@ void LocalFieldState::reset(const Spins& m) {
   for (std::size_t i = 0; i < size; ++i) {
     coupling_in_[i] = adjacency_->coupling_input(m, i);
   }
+  adjacency_->activities(m, activity_);
   // The dense evaluation reproduces, bit for bit, the energy every
   // pre-engine backend computed at run start, so trajectories stay
   // identical to the recompute era on arbitrary (non-dyadic) models too.
@@ -15,8 +16,7 @@ void LocalFieldState::reset(const Spins& m) {
   energy_ = model_->energy(m);
 }
 
-double LocalFieldState::flip(Spins& m, std::size_t i) {
-  const double delta = flip_delta(m, i);
+void LocalFieldState::flip(Spins& m, std::size_t i, double delta) {
   m[i] = static_cast<std::int8_t>(-m[i]);
   const auto mi = static_cast<double>(m[i]);  // new value of spin i
   const auto nbr = adjacency_->neighbors(i);
@@ -25,8 +25,11 @@ double LocalFieldState::flip(Spins& m, std::size_t i) {
     // m_i went from -mi to mi, so C_j = sum J_jl m_l shifts by 2 J_ij mi.
     coupling_in_[nbr[k]] += 2.0 * w[k] * mi;
   }
+  // Likewise S_r shifts by 2 a_ri mi for every row holding spin i.
+  for (const ColumnEntry& e : adjacency_->column(i)) {
+    activity_[e.row] += 2.0 * e.coef * mi;
+  }
   energy_ += delta;
-  return delta;
 }
 
 }  // namespace saim::ising

@@ -1,5 +1,6 @@
 #include "lagrange/lagrangian_model.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "ising/convert.hpp"
@@ -10,52 +11,39 @@ LagrangianModel::LagrangianModel(const problems::ConstrainedProblem& problem,
                                  double penalty)
     : problem_(&problem),
       penalty_(penalty),
-      lambda_(problem.num_constraints(), 0.0),
-      qubo_(problem.n()) {
+      lambda_(problem.num_constraints(), 0.0) {
   if (penalty_ < 0.0) {
     throw std::invalid_argument("LagrangianModel: penalty must be >= 0");
   }
 
-  // f part.
-  const auto& f = problem.objective();
-  f.for_each_quadratic([&](std::size_t i, std::size_t j, double q) {
-    qubo_.add_quadratic(i, j, q);
-  });
-  for (std::size_t i = 0; i < qubo_.n(); ++i) {
-    const double q = f.linear(i);
-    if (q != 0.0) qubo_.add_linear(i, q);
-  }
-  qubo_.add_offset(f.offset());
+  // f part through the QUBO lowering: J_f = -Q_f/4 plus f's own fields and
+  // offset.
+  ising_ = ising::qubo_to_ising(problem.objective());
+  base_field_.assign(ising_.fields().begin(), ising_.fields().end());
+  base_offset_ = ising_.offset();
 
-  // P * ||g||^2 part: for g_m = a.x - b,
-  //   g_m^2 = sum_j a_j^2 x_j + 2 sum_{j<k} a_j a_k x_j x_k
-  //           - 2 b sum_j a_j x_j + b^2         (x_j^2 == x_j).
-  for (const auto& row : problem.constraints()) {
-    for (std::size_t u = 0; u < row.terms.size(); ++u) {
-      const auto [j, aj] = row.terms[u];
-      qubo_.add_linear(j, penalty_ * aj * (aj - 2.0 * row.rhs));
-      for (std::size_t v = u + 1; v < row.terms.size(); ++v) {
-        const auto [k, ak] = row.terms[v];
-        qubo_.add_quadratic(j, k, 2.0 * penalty_ * aj * ak);
-      }
+  // P * ||g||^2 part in the spin picture: with x = (1 + m)/2 and the row
+  // activity S_r = sum_i a_ri m_i,
+  //   g_r = S_r/2 + c_r ,   c_r = R_r/2 - b_r ,   R_r = sum_i a_ri ,
+  //   P g_r^2 = (P/4) (S_r^2 - sum_i a_ri^2)     (the factored block)
+  //             + P c_r S_r + P (c_r^2 + sum_i a_ri^2 / 4) .
+  // The S_r term is linear in m, so it joins the fields (rebuild_fields).
+  ising_.set_penalty(penalty_);
+  const auto& constraints = problem.constraints();
+  row_shift_.reserve(constraints.size());
+  for (std::size_t r = 0; r < constraints.size(); ++r) {
+    ising_.add_penalty_row(constraints[r].terms);
+    double total = 0.0;
+    double sq = 0.0;
+    for (const auto& t : ising_.penalty_row(r)) {
+      total += t.coef;
+      sq += t.coef * t.coef;
     }
-    qubo_.add_offset(penalty_ * row.rhs * row.rhs);
+    const double c = total / 2.0 - constraints[r].rhs;
+    row_shift_.push_back(c);
+    base_offset_ += penalty_ * (c * c + sq / 4.0);
   }
-
-  base_linear_.assign(qubo_.linear_terms().begin(),
-                      qubo_.linear_terms().end());
-  base_offset_ = qubo_.offset();
-
-  // Ising image + cached quantities for O(n) field refresh: with couplings
-  // fixed, h_i = -(q_i/2 + row_sum_i/4) depends on q_i only.
-  ising_ = ising::qubo_to_ising(qubo_);
-  ising_row_sum_.assign(qubo_.n(), 0.0);
-  ising_quad_offset_ = 0.0;
-  qubo_.for_each_quadratic([&](std::size_t i, std::size_t j, double q) {
-    ising_row_sum_[i] += q;
-    ising_row_sum_[j] += q;
-    ising_quad_offset_ += q / 4.0;
-  });
+  rebuild_fields();
 }
 
 void LagrangianModel::set_lambda(std::span<const double> lambda) {
@@ -63,32 +51,25 @@ void LagrangianModel::set_lambda(std::span<const double> lambda) {
     throw std::invalid_argument("LagrangianModel::set_lambda: size mismatch");
   }
   lambda_.assign(lambda.begin(), lambda.end());
-  rebuild_linear();
+  rebuild_fields();
 }
 
-void LagrangianModel::rebuild_linear() {
-  // q = base_q + sum_m lambda_m a_m ;  c = base_c - sum_m lambda_m b_m.
-  auto q = qubo_.mutable_linear_terms();
-  for (std::size_t i = 0; i < q.size(); ++i) q[i] = base_linear_[i];
+void LagrangianModel::rebuild_fields() {
+  // lambda_r g_r = (lambda_r/2) S_r + lambda_r c_r, so row r moves h by
+  // -(P c_r + lambda_r/2) a_r and the offset by lambda_r c_r; J and the
+  // penalty block stay fixed.
+  auto h = ising_.mutable_fields();
+  std::copy(base_field_.begin(), base_field_.end(), h.begin());
   double offset = base_offset_;
-  const auto& constraints = problem_->constraints();
-  for (std::size_t m = 0; m < constraints.size(); ++m) {
-    const double lm = lambda_[m];
-    if (lm == 0.0) continue;
-    for (const auto& [j, aj] : constraints[m].terms) {
-      q[j] += lm * aj;
+  for (std::size_t r = 0; r < row_shift_.size(); ++r) {
+    const double c = row_shift_[r];
+    const double w = penalty_ * c + lambda_[r] / 2.0;
+    for (const auto& t : ising_.penalty_row(r)) {
+      h[t.spin] -= w * t.coef;
     }
-    offset -= lm * constraints[m].rhs;
+    offset += lambda_[r] * c;
   }
-  qubo_.set_offset(offset);
-
-  // Refresh Ising fields/offset in place (couplings and row sums fixed).
-  double ising_offset = offset + ising_quad_offset_;
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    ising_.set_field(i, -(q[i] / 2.0 + ising_row_sum_[i] / 4.0));
-    ising_offset += q[i] / 2.0;
-  }
-  ising_.set_offset(ising_offset);
+  ising_.set_offset(offset);
 }
 
 double LagrangianModel::lagrangian(std::span<const std::uint8_t> x) const {

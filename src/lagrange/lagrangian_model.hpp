@@ -2,33 +2,39 @@
 //
 //   L(x; lambda) = f(x) + P * ||g(x)||^2 + lambda^T g(x)
 //
-// For linear g_m(x) = a_m.x - b_m the quadratic penalty expands to fixed
-// couplings  2P a_mi a_mj  and fixed linear/constant parts, while the
-// Lagrange term lambda^T g is *linear* in x. Consequence, central to the
-// implementation: updating lambda between SAIM iterations never touches the
-// couplings J — only the linear coefficients q (hence the Ising fields h and
-// the offset) move. set_lambda() therefore costs O(nnz(A) + n), and the
-// p-bit machine's coupling CSR built at bind() stays valid for the whole
-// run. This mirrors the paper's "the Ising coefficients J and h are
-// consequently updated at each iteration" at the minimal possible cost.
+// kept as a cost plus per-constraint terms, never expanded. With linear
+// g_r(x) = a_r.x - b_r the Ising image (ising() — what the samplers read)
+// holds f's own couplings J_f and the penalty's pair part as a low-rank
+// block: P and the rows a_r, evaluated through the row activities
+// S_r = sum_i a_ri m_i (see ising/ising_model.hpp). An MKP's linear
+// objective therefore yields a model with no couplings at all, and a sweep
+// pays O(nnz(A[:,i])) per visit instead of a dense O(n) neighbourhood.
+//
+// The penalty's linear and constant parts and the Lagrange term
+// lambda^T g are all linear in x, so they live in the fields h and the
+// offset. Updating lambda between SAIM iterations therefore never touches
+// J or A: set_lambda() costs O(nnz(A) + n), and the backends' sweep
+// structures built at bind() stay valid for the whole run. This mirrors
+// the paper's "the Ising coefficients J and h are consequently updated at
+// each iteration" at the minimal possible cost.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "ising/ising_model.hpp"
-#include "ising/qubo_model.hpp"
 #include "problems/constrained_problem.hpp"
 
 namespace saim::lagrange {
 
 class LagrangianModel {
  public:
-  /// Builds the lambda = 0 landscape: f + P ||g||^2. The problem reference
-  /// must outlive the model.
+  /// Builds the lambda = 0 landscape: f + P ||g||^2. Lowering f scans its
+  /// dense storage once (O(n^2)); the penalty costs O(nnz(A)). The problem
+  /// reference must outlive the model.
   LagrangianModel(const problems::ConstrainedProblem& problem, double penalty);
 
-  [[nodiscard]] std::size_t n() const noexcept { return qubo_.n(); }
+  [[nodiscard]] std::size_t n() const noexcept { return ising_.n(); }
   [[nodiscard]] double penalty() const noexcept { return penalty_; }
   [[nodiscard]] const problems::ConstrainedProblem& problem() const noexcept {
     return *problem_;
@@ -39,37 +45,32 @@ class LagrangianModel {
     return lambda_;
   }
 
-  /// Rewrites the landscape for new multipliers. O(nnz(A) + n); couplings
-  /// untouched. The bound IsingModel's fields/offset are refreshed in place.
+  /// Rewrites the landscape for new multipliers. O(nnz(A) + n); J and the
+  /// penalty block untouched. The IsingModel's fields/offset are refreshed
+  /// in place.
   void set_lambda(std::span<const double> lambda);
 
-  /// The current L as a QUBO over the slack-extended variables.
-  [[nodiscard]] const ising::QuboModel& qubo() const noexcept { return qubo_; }
-
-  /// The current L as an Ising model (what the p-bit machine samples).
-  /// Stable address across set_lambda() calls.
+  /// The current L as an Ising model (what the p-bit machine samples):
+  /// H(m(x)) == L(x; lambda). Stable address across set_lambda() calls.
   [[nodiscard]] const ising::IsingModel& ising() const noexcept {
     return ising_;
   }
 
   /// L(x; lambda) evaluated directly from f, g and lambda — used by tests to
-  /// cross-check the QUBO/Ising images.
+  /// cross-check the Ising image.
   [[nodiscard]] double lagrangian(std::span<const std::uint8_t> x) const;
 
  private:
-  void rebuild_linear();
+  void rebuild_fields();
 
   const problems::ConstrainedProblem* problem_;
   double penalty_;
   std::vector<double> lambda_;
 
-  ising::QuboModel qubo_;          ///< current L (couplings fixed)
-  std::vector<double> base_linear_;  ///< q of f + P||g||^2 (lambda = 0)
-  double base_offset_ = 0.0;
-
-  ising::IsingModel ising_;           ///< Ising image of qubo_
-  std::vector<double> ising_row_sum_;  ///< sum_j Q_ij, fixed (for h refresh)
-  double ising_quad_offset_ = 0.0;     ///< sum_{i<j} Q_ij / 4, fixed
+  ising::IsingModel ising_;
+  std::vector<double> base_field_;  ///< h of f + P||g||^2 (lambda = 0)
+  double base_offset_ = 0.0;        ///< offset of f + P||g||^2
+  std::vector<double> row_shift_;   ///< c_r = sum_i a_ri / 2 - b_r
 };
 
 /// The paper's penalty heuristic P = alpha * d * N (section III-A, after

@@ -26,7 +26,7 @@ void PBitMachine::sweep(ising::Spins& m, ising::LocalFieldState& lfs,
   const std::size_t size = n();
 
   auto update_one = [&](std::size_t i) {
-    const double in = lfs.field(i);
+    const double in = lfs.field(m, i);
     // m_i = sign(tanh(beta*I_i) + U(-1,1)): +1 with prob (1+tanh)/2. The
     // tiered sign test is bit-identical to calling std::tanh every visit
     // but saturation/bounds decide ~all draws without libm (the
@@ -37,7 +37,7 @@ void PBitMachine::sweep(ising::Spins& m, ising::LocalFieldState& lfs,
             ? std::int8_t{1}
             : std::int8_t{-1};
     if (next != m[i]) {
-      lfs.flip(m, i);
+      lfs.flip(m, i, 2.0 * static_cast<double>(m[i]) * in);
     }
   };
 

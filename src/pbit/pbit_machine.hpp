@@ -9,9 +9,11 @@
 // distribution P{m} ∝ exp(-beta * H{m}) (eq. 11) — verified by the
 // chi-square tests in tests/pbit_boltzmann_test.cpp.
 //
-// The machine keeps a reference to its IsingModel: SAIM's lambda updates
+// Here I_i also carries the model's factored penalty block (see
+// ising/local_field.hpp), read through the spin's column of A. The
+// machine keeps a reference to its IsingModel: SAIM's lambda updates
 // rewrite only the model's fields h between runs, which the machine reads
-// live, while the coupling CSR (built once) stays valid.
+// live, while the sweep view of J and A (built once) stays valid.
 #pragma once
 
 #include <cstddef>
@@ -56,7 +58,7 @@ struct AnnealResult {
 
 class PBitMachine {
  public:
-  /// The model must outlive the machine. Builds the coupling CSR once.
+  /// The model must outlive the machine. Builds the sweep view once.
   explicit PBitMachine(const ising::IsingModel& model);
 
   [[nodiscard]] std::size_t n() const noexcept { return model_->n(); }
@@ -80,13 +82,8 @@ class PBitMachine {
   /// Uniform random ±1 configuration.
   ising::Spins random_state(util::Xoshiro256pp& rng) const;
 
-  /// p-bit input I_i for the current state (eq. 9), via the CSR.
-  [[nodiscard]] double input(const ising::Spins& m, std::size_t i) const {
-    return adjacency_.coupling_input(m, i) + model_->field(i);
-  }
-
-  /// Bound model / CSR — shared with the bit-sliced batch path so it runs
-  /// over the exact same couplings and live fields as the scalar sweeps.
+  /// Bound model / sweep view — shared with the bit-sliced batch path so it
+  /// runs over the exact same J, A and live fields as the scalar sweeps.
   [[nodiscard]] const ising::IsingModel& model() const noexcept {
     return *model_;
   }

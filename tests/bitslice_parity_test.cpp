@@ -18,6 +18,7 @@
 #include "core/saim_solver.hpp"
 #include "ising/bitslice.hpp"
 #include "ising/ising_model.hpp"
+#include "lagrange/lagrangian_model.hpp"
 #include "pbit/pbit_machine.hpp"
 #include "pbit/schedule.hpp"
 #include "problems/qkp.hpp"
@@ -56,6 +57,43 @@ ising::IsingModel dyadic_model(std::size_t n, std::uint64_t seed) {
     model.add_field(i, 0.125 * static_cast<double>(rng.range(-4, 4)));
   }
   return model;
+}
+
+// A constrained problem whose Lagrangian carries an M-row penalty block
+// with non-dyadic rows a_r, rhs, objective, P and lambda: the factored
+// penalty share of every input rounds, so the bit-sliced lanes must mirror
+// Adjacency::penalty_input operation for operation.
+problems::ConstrainedProblem penalty_problem(std::size_t n, std::size_t rows,
+                                             std::uint64_t seed) {
+  util::Xoshiro256pp rng(seed);
+  ising::QuboModel f(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    f.add_linear(i, rng.uniform_sym());
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (rng.uniform01() < 0.15) {
+        f.add_quadratic(i, j, 0.7 * rng.uniform_sym());
+      }
+    }
+  }
+  std::vector<problems::LinearConstraint> constraints(rows);
+  for (auto& g : constraints) {
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.uniform01() < 0.6) {
+        const double a = 0.1 + 1.9 * rng.uniform01();
+        g.terms.emplace_back(static_cast<std::uint32_t>(i), a);
+        total += a;
+      }
+    }
+    g.rhs = total * (0.3 + 0.4 * rng.uniform01());
+  }
+  return problems::ConstrainedProblem(std::move(f), std::move(constraints), n);
+}
+
+std::vector<double> random_lambda(std::size_t rows, util::Xoshiro256pp& rng) {
+  std::vector<double> lambda(rows);
+  for (auto& l : lambda) l = 2.3 * rng.uniform_sym();
+  return lambda;
 }
 
 struct ScalarRun {
@@ -214,6 +252,100 @@ TEST(BitsliceParity, WarmSeededLanesMatchScalar) {
       sliced(model, sa.adjacency(), schedule, ising::SliceDynamics::kMetropolis,
              56, 36, 35, true, seeds);
   for (std::size_t r = 0; r < 36; ++r) expect_lane_eq(mref[r], mgot[r], r);
+}
+
+// Lagrangian models with M = 1 and M = 5 penalty rows: cold, warm-seeded
+// and fused lanes (fused members at different lambda, i.e. different
+// fields over one shared J and A), both dynamics.
+TEST(BitsliceParity, LagrangianPenaltyLanesMatchScalar) {
+  for (const std::size_t rows : {std::size_t{1}, std::size_t{5}}) {
+    SCOPED_TRACE(testing::Message() << "rows " << rows);
+    const auto problem = penalty_problem(27, rows, 100 + rows);
+    lagrange::LagrangianModel lagrangian(problem, 0.8137);
+    util::Xoshiro256pp lambda_rng(rows);
+    lagrangian.set_lambda(random_lambda(rows, lambda_rng));
+    const ising::IsingModel& model = lagrangian.ising();
+    ASSERT_EQ(model.penalty_rows(), rows);
+
+    const pbit::PBitMachine machine(model);
+    const anneal::MetropolisSa sa(model);
+    ASSERT_EQ(machine.adjacency().penalty_rows(), rows);
+    const auto schedule = pbit::Schedule::linear(1.5);
+
+    std::vector<ising::Spins> seeds;
+    util::Xoshiro256pp seed_rng(rows + 7);
+    for (int k = 0; k < 3; ++k) {
+      ising::Spins s(model.n());
+      for (auto& v : s) v = seed_rng.bernoulli(0.5) ? 1 : -1;
+      seeds.push_back(std::move(s));
+    }
+
+    // Cold lanes, then warm-seeded lanes.
+    const std::vector<std::vector<ising::Spins>> seed_sets = {{}, seeds};
+    for (const auto& sd : seed_sets) {
+      const auto pref = scalar_pbit(machine, schedule, 11, 37, 30, true, sd);
+      const auto pgot =
+          sliced(model, machine.adjacency(), schedule,
+                 ising::SliceDynamics::kPbit, 11, 37, 30, true, sd);
+      for (std::size_t r = 0; r < 37; ++r) expect_lane_eq(pref[r], pgot[r], r);
+      const auto mref = scalar_metropolis(sa, schedule, 12, 37, 30, true, sd);
+      const auto mgot =
+          sliced(model, sa.adjacency(), schedule,
+                 ising::SliceDynamics::kMetropolis, 12, 37, 30, true, sd);
+      for (std::size_t r = 0; r < 37; ++r) expect_lane_eq(mref[r], mgot[r], r);
+    }
+
+    // Fused: three members at different lambda share one dispatch.
+    for (const auto dynamics :
+         {ising::SliceDynamics::kPbit, ising::SliceDynamics::kMetropolis}) {
+      std::vector<std::vector<ScalarRun>> refs;
+      std::vector<anneal::SlicePlan> plans;
+      for (std::uint64_t member = 0; member < 3; ++member) {
+        lagrangian.set_lambda(random_lambda(rows, lambda_rng));
+        const std::uint64_t base = 40 + member;
+        refs.push_back(dynamics == ising::SliceDynamics::kPbit
+                           ? scalar_pbit(machine, schedule, base, 6, 30, true,
+                                         {})
+                           : scalar_metropolis(sa, schedule, base, 6, 30, true,
+                                               {}));
+        plans.push_back(anneal::make_slice_plan(model, base, 6, {}));
+      }
+      const auto betas = anneal::make_beta_table(schedule, 30);
+      ising::SliceOptions so;
+      so.dynamics = dynamics;
+      so.betas = betas;
+      so.track_best = true;
+      const auto split =
+          anneal::run_slice_plans(machine.adjacency(), plans, so);
+      ASSERT_EQ(split.size(), 3u);
+      for (std::size_t m = 0; m < 3; ++m) {
+        for (std::size_t r = 0; r < 6; ++r) {
+          expect_lane_eq(refs[m][r], split[m][r], r);
+        }
+      }
+    }
+  }
+}
+
+// A single-lane group (M = 1 row, one replica) exercises the partial
+// chunk of the activity planes.
+TEST(BitsliceParity, LagrangianSingleLaneMatchesScalar) {
+  const auto problem = penalty_problem(19, 1, 77);
+  lagrange::LagrangianModel lagrangian(problem, 1.91);
+  lagrangian.set_lambda(std::vector<double>{-0.613});
+  const ising::IsingModel& model = lagrangian.ising();
+  const pbit::PBitMachine machine(model);
+  const anneal::MetropolisSa sa(model);
+  const auto schedule = pbit::Schedule::linear(2.5);
+  const auto pref = scalar_pbit(machine, schedule, 5, 1, 40, false, {});
+  const auto pgot = sliced(model, machine.adjacency(), schedule,
+                           ising::SliceDynamics::kPbit, 5, 1, 40, false, {});
+  expect_lane_eq(pref[0], pgot[0], 0);
+  const auto mref = scalar_metropolis(sa, schedule, 6, 1, 40, false, {});
+  const auto mgot =
+      sliced(model, sa.adjacency(), schedule,
+             ising::SliceDynamics::kMetropolis, 6, 1, 40, false, {});
+  expect_lane_eq(mref[0], mgot[0], 0);
 }
 
 // run_batch at 33+ replicas silently switches to the bit-sliced engine;

@@ -86,7 +86,7 @@ TEST(EdgeCases, ConstrainedProblemWithNoConstraints) {
   lagrange::LagrangianModel model(p, 1.0);
   EXPECT_DOUBLE_EQ(model.lagrangian(x), -1.0);
   model.set_lambda({});
-  EXPECT_DOUBLE_EQ(model.qubo().energy(x), -1.0);
+  EXPECT_DOUBLE_EQ(model.ising().energy(ising::bits_to_spins(x)), -1.0);
 }
 
 TEST(EdgeCases, ConstrainedProblemValidation) {
@@ -168,7 +168,7 @@ TEST(EdgeCases, LagrangianWithZeroPenaltyIsPureLagrangian) {
   model.set_lambda(std::vector<double>{3.0});
   const ising::Bits x = {1, 1};
   // L = f + 0 + 3*(2-1) = -1 + 3.
-  EXPECT_DOUBLE_EQ(model.qubo().energy(x), 2.0);
+  EXPECT_DOUBLE_EQ(model.ising().energy(ising::bits_to_spins(x)), 2.0);
 }
 
 TEST(EdgeCases, EvaluatorsHandleAllZeroConfiguration) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "ising/convert.hpp"
 #include "problems/mkp.hpp"
 #include "problems/portfolio.hpp"
@@ -13,6 +16,20 @@ namespace {
 
 using problems::ConstrainedProblem;
 using problems::LinearConstraint;
+
+/// L(x) read off the factored Ising image: H(m(x)).
+double ising_energy(const LagrangianModel& model,
+                    std::span<const std::uint8_t> x) {
+  return model.ising().energy(ising::bits_to_spins(x));
+}
+
+/// |a - b| within `rel` of max(1, |b|).
+::testing::AssertionResult near_rel(double a, double b, double rel) {
+  const double tol = rel * std::max(1.0, std::abs(b));
+  if (std::abs(a - b) <= tol) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << a << " vs " << b << " (tolerance " << tol << ")";
+}
 
 ConstrainedProblem toy_problem() {
   // min -x0 - 2 x1  s.t.  x0 + x1 = 1  over 2 binaries.
@@ -34,7 +51,7 @@ TEST(LagrangianModel, PenaltyExpansionMatchesDirectEvaluation) {
         static_cast<std::uint8_t>((code >> 1) & 1)};
     const double g = static_cast<double>(x[0]) + x[1] - 1.0;
     const double expected = -1.0 * x[0] - 2.0 * x[1] + 3.0 * g * g;
-    EXPECT_NEAR(model.qubo().energy(x), expected, 1e-12) << "code=" << code;
+    EXPECT_NEAR(ising_energy(model, x), expected, 1e-12) << "code=" << code;
     EXPECT_NEAR(model.lagrangian(x), expected, 1e-12);
   }
 }
@@ -51,12 +68,12 @@ TEST(LagrangianModel, LambdaTermAddsLinearly) {
     const double g = static_cast<double>(x[0]) + x[1] - 1.0;
     const double expected =
         -1.0 * x[0] - 2.0 * x[1] + 3.0 * g * g + 2.5 * g;
-    EXPECT_NEAR(model.qubo().energy(x), expected, 1e-12);
+    EXPECT_NEAR(ising_energy(model, x), expected, 1e-12);
     EXPECT_NEAR(model.lagrangian(x), expected, 1e-12);
   }
 }
 
-TEST(LagrangianModel, IsingImageMatchesQubo) {
+TEST(LagrangianModel, IsingImageMatchesDirectForm) {
   const auto problem = toy_problem();
   LagrangianModel model(problem, 2.0);
   model.set_lambda(std::vector<double>{-1.5});
@@ -64,28 +81,83 @@ TEST(LagrangianModel, IsingImageMatchesQubo) {
     const std::vector<std::uint8_t> x = {
         static_cast<std::uint8_t>(code & 1),
         static_cast<std::uint8_t>((code >> 1) & 1)};
-    EXPECT_NEAR(model.ising().energy(ising::bits_to_spins(x)),
-                model.qubo().energy(x), 1e-12);
+    EXPECT_NEAR(ising_energy(model, x), model.lagrangian(x), 1e-12);
   }
 }
 
-TEST(LagrangianModel, SetLambdaNeverTouchesCouplings) {
+TEST(LagrangianModel, SetLambdaMovesOnlyFieldsAndOffset) {
   const auto inst = problems::make_paper_qkp(20, 50, 1);
   const auto mapping = problems::qkp_to_problem(inst);
   LagrangianModel model(mapping.problem, 1.0);
+  const ising::IsingModel before = model.ising();
 
-  const std::size_t n = model.n();
-  std::vector<double> couplings_before;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto row = model.ising().row(i);
-    couplings_before.insert(couplings_before.end(), row.begin(), row.end());
-  }
   model.set_lambda(std::vector<double>{42.0});
-  std::size_t idx = 0;
+  const ising::IsingModel& after = model.ising();
+  const std::size_t n = model.n();
   for (std::size_t i = 0; i < n; ++i) {
-    const auto row = model.ising().row(i);
-    for (const double v : row) {
-      ASSERT_EQ(v, couplings_before[idx++]);
+    const auto row_before = before.row(i);
+    const auto row_after = after.row(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(row_after[j], row_before[j]);
+    }
+  }
+  ASSERT_EQ(after.penalty(), before.penalty());
+  ASSERT_EQ(after.penalty_rows(), before.penalty_rows());
+  for (std::size_t r = 0; r < after.penalty_rows(); ++r) {
+    const auto a = after.penalty_row(r);
+    const auto b = before.penalty_row(r);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      ASSERT_EQ(a[k].spin, b[k].spin);
+      ASSERT_EQ(a[k].coef, b[k].coef);
+    }
+  }
+  // The multiplier term is linear in x: only h and the offset move.
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (after.field(i) != before.field(i)) ++moved;
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_NE(after.offset(), before.offset());
+}
+
+TEST(LagrangianModel, CouplingsCountOnlyTheObjective) {
+  // MKP: a linear objective, so the whole penalty stays in the block.
+  const auto mkp = problems::make_paper_mkp(30, 5, 1);
+  const auto mkp_mapping = problems::mkp_to_problem(mkp);
+  const LagrangianModel mkp_model(mkp_mapping.problem, 3.0);
+  EXPECT_EQ(mkp_model.ising().nnz(), 0u);
+  EXPECT_EQ(mkp_model.ising().penalty_rows(), 5u);
+
+  // QKP: J holds exactly the objective's profit pairs.
+  const auto qkp = problems::make_paper_qkp(30, 25, 1);
+  const auto qkp_mapping = problems::qkp_to_problem(qkp);
+  const LagrangianModel qkp_model(qkp_mapping.problem, 3.0);
+  EXPECT_EQ(qkp_model.ising().nnz(), qkp_mapping.problem.objective().nnz());
+  EXPECT_GT(qkp_model.ising().nnz(), 0u);
+}
+
+TEST(LagrangianModel, FlipDeltaMatchesEnergyDifference) {
+  problems::MkpGeneratorParams p;
+  p.n = 14;
+  p.m = 3;
+  p.seed = 4;
+  const auto inst = problems::generate_mkp(p);
+  const auto mapping = problems::mkp_to_problem(inst);
+  LagrangianModel model(mapping.problem, 2.7);
+  model.set_lambda(std::vector<double>{0.3, -1.1, 2.9});
+  const ising::IsingModel& h = model.ising();
+
+  util::Xoshiro256pp rng(17);
+  for (int trial = 0; trial < 10; ++trial) {
+    ising::Spins m(h.n());
+    for (auto& s : m) s = rng.bernoulli(0.5) ? 1 : -1;
+    const double e0 = h.energy(m);
+    for (std::size_t i = 0; i < h.n(); ++i) {
+      ising::Spins flipped = m;
+      flipped[i] = static_cast<std::int8_t>(-flipped[i]);
+      ASSERT_TRUE(near_rel(h.flip_delta(m, i), h.energy(flipped) - e0, 1e-9))
+          << "trial " << trial << " spin " << i;
     }
   }
 }
@@ -121,9 +193,8 @@ TEST(LagrangianModel, SetLambdaMatchesFreshRebuild) {
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<std::uint8_t> x(mapping.problem.n());
     for (auto& b : x) b = rng.bernoulli(0.5) ? 1 : 0;
-    ASSERT_NEAR(incremental.qubo().energy(x), fresh.qubo().energy(x), 1e-9);
-    ASSERT_NEAR(incremental.ising().energy(ising::bits_to_spins(x)),
-                fresh.ising().energy(ising::bits_to_spins(x)), 1e-9);
+    ASSERT_TRUE(
+        near_rel(ising_energy(incremental, x), ising_energy(fresh, x), 1e-9));
   }
 }
 
@@ -150,7 +221,7 @@ TEST(LagrangianModel, MultipleConstraints) {
     const double gb = 2.0 * x[1] + x[2] - 2.0;
     const double expected =
         -1.0 * x[0] + 0.5 * (ga * ga + gb * gb) + 1.0 * ga - 2.0 * gb;
-    EXPECT_NEAR(model.qubo().energy(x), expected, 1e-12);
+    EXPECT_NEAR(ising_energy(model, x), expected, 1e-12);
   }
 }
 
@@ -183,11 +254,11 @@ TEST(HeuristicPenalty, LinearObjectiveUsesFixedSpinConvention) {
   EXPECT_NEAR(heuristic_penalty(problem, 5.0), 9.0, 1e-12);
 }
 
-// Property sweep: QUBO image equals direct Lagrangian for random lambda on
+// Property sweep: the Ising image equals direct Lagrangian for random lambda on
 // random QKP mappings.
 class LagrangianProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(LagrangianProperty, QuboImageEqualsDirectForm) {
+TEST_P(LagrangianProperty, IsingImageEqualsDirectForm) {
   problems::QkpGeneratorParams p;
   p.n = 10;
   p.density = 0.5;
@@ -203,9 +274,7 @@ TEST_P(LagrangianProperty, QuboImageEqualsDirectForm) {
     for (int trial = 0; trial < 20; ++trial) {
       std::vector<std::uint8_t> x(mapping.problem.n());
       for (auto& b : x) b = rng.bernoulli(0.5) ? 1 : 0;
-      ASSERT_NEAR(model.qubo().energy(x), model.lagrangian(x), 1e-9);
-      ASSERT_NEAR(model.ising().energy(ising::bits_to_spins(x)),
-                  model.lagrangian(x), 1e-9);
+      ASSERT_TRUE(near_rel(ising_energy(model, x), model.lagrangian(x), 1e-9));
     }
   }
 }
@@ -218,7 +287,7 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, LagrangianProperty,
 class LagrangianMkpProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-TEST_P(LagrangianMkpProperty, QuboImageEqualsDirectForm) {
+TEST_P(LagrangianMkpProperty, IsingImageEqualsDirectForm) {
   problems::MkpGeneratorParams p;
   p.n = 12;
   p.m = 4;
@@ -235,9 +304,7 @@ TEST_P(LagrangianMkpProperty, QuboImageEqualsDirectForm) {
     for (int trial = 0; trial < 15; ++trial) {
       std::vector<std::uint8_t> x(mapping.problem.n());
       for (auto& b : x) b = rng.bernoulli(0.5) ? 1 : 0;
-      ASSERT_NEAR(model.qubo().energy(x), model.lagrangian(x), 1e-9);
-      ASSERT_NEAR(model.ising().energy(ising::bits_to_spins(x)),
-                  model.lagrangian(x), 1e-9);
+      ASSERT_TRUE(near_rel(ising_energy(model, x), model.lagrangian(x), 1e-9));
     }
   }
 }
@@ -250,7 +317,7 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, LagrangianMkpProperty,
 class LagrangianPortfolioProperty
     : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(LagrangianPortfolioProperty, QuboImageEqualsDirectForm) {
+TEST_P(LagrangianPortfolioProperty, IsingImageEqualsDirectForm) {
   problems::PortfolioGeneratorParams p;
   p.n = 12;
   p.seed = GetParam();
@@ -265,7 +332,7 @@ TEST_P(LagrangianPortfolioProperty, QuboImageEqualsDirectForm) {
     for (int trial = 0; trial < 15; ++trial) {
       std::vector<std::uint8_t> x(mapping.problem.n());
       for (auto& b : x) b = rng.bernoulli(0.5) ? 1 : 0;
-      ASSERT_NEAR(model.qubo().energy(x), model.lagrangian(x), 1e-9);
+      ASSERT_TRUE(near_rel(ising_energy(model, x), model.lagrangian(x), 1e-9));
     }
   }
 }

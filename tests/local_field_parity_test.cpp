@@ -10,6 +10,10 @@
 // operation on both paths is exact, so the engines must reproduce the
 // reference trajectories BIT-FOR-BIT: same RNG draws, same accept
 // decisions, same final state and energy.
+//
+// The same exactness pins the factored penalty block: each backend run on
+// a dyadic penalty model must match the run on ising::expand_penalty of
+// that model (the block folded into dense couplings) bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -53,6 +57,35 @@ IsingModel dyadic_model(std::size_t n, double density, std::uint64_t seed) {
     model.add_field(i, static_cast<double>(rng.range(-16, 16)) / 8.0);
   }
   return model;
+}
+
+/// dyadic_model plus a penalty block: P = 3/4 and `rows` rows whose
+/// coefficients are nonzero multiples of 1/2 in [-3/2, 3/2], so the
+/// expanded couplings -(P/2) a_ri a_rj stay small multiples of 1/32.
+IsingModel dyadic_penalty_model(std::size_t n, std::size_t rows,
+                                std::uint64_t seed) {
+  IsingModel model = dyadic_model(n, 0.2, seed);
+  util::Xoshiro256pp rng(seed + 1000);
+  model.set_penalty(0.75);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<std::pair<std::uint32_t, double>> terms;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!rng.bernoulli(0.5)) continue;
+      const auto a = static_cast<double>(rng.range(1, 3)) / 2.0;
+      terms.emplace_back(static_cast<std::uint32_t>(i),
+                         rng.bernoulli(0.5) ? a : -a);
+    }
+    model.add_penalty_row(terms);
+  }
+  return model;
+}
+
+template <typename Run>
+void expect_same_run(const Run& factored, const Run& expanded) {
+  EXPECT_EQ(factored.last, expanded.last);
+  EXPECT_EQ(factored.last_energy, expanded.last_energy);
+  EXPECT_EQ(factored.best, expanded.best);
+  EXPECT_EQ(factored.best_energy, expanded.best_energy);
 }
 
 Spins draw_state(std::size_t n, util::Xoshiro256pp& rng) {
@@ -462,6 +495,95 @@ TEST(LocalFieldParity, TabuMatchesRecomputeReference) {
   EXPECT_EQ(engine.best, ref.best);
   EXPECT_EQ(engine.best_energy, ref.best_energy);
   EXPECT_EQ(rng_engine(), rng_ref());
+}
+
+// ------------------------------------- factored penalty vs expanded form
+
+TEST(LocalFieldParity, PBitFactoredPenaltyMatchesExpanded) {
+  const auto model = dyadic_penalty_model(30, 4, 41);
+  const auto flat = ising::expand_penalty(model);
+  ASSERT_GT(flat.nnz(), model.nnz());
+  const auto sched = pbit::Schedule::linear(2.0);
+  pbit::AnnealOptions opts;
+  opts.sweeps = 100;
+  opts.track_best = true;
+
+  util::Xoshiro256pp rng_f(5);
+  util::Xoshiro256pp rng_e(5);
+  const auto factored = pbit::PBitMachine(model).anneal(sched, opts, rng_f);
+  const auto expanded = pbit::PBitMachine(flat).anneal(sched, opts, rng_e);
+  expect_same_run(factored, expanded);
+  EXPECT_EQ(rng_f(), rng_e());
+}
+
+TEST(LocalFieldParity, MetropolisSaFactoredPenaltyMatchesExpanded) {
+  const auto model = dyadic_penalty_model(30, 5, 43);
+  const auto flat = ising::expand_penalty(model);
+  const auto sched = pbit::Schedule::linear(2.0);
+  anneal::SaOptions opts;
+  opts.sweeps = 120;
+  opts.track_best = true;
+
+  util::Xoshiro256pp rng_f(6);
+  util::Xoshiro256pp rng_e(6);
+  const auto factored = anneal::MetropolisSa(model).run(sched, opts, rng_f);
+  const auto expanded = anneal::MetropolisSa(flat).run(sched, opts, rng_e);
+  expect_same_run(factored, expanded);
+  EXPECT_EQ(rng_f(), rng_e());
+}
+
+TEST(LocalFieldParity, ParallelTemperingFactoredPenaltyMatchesExpanded) {
+  const auto model = dyadic_penalty_model(26, 3, 47);
+  const auto flat = ising::expand_penalty(model);
+  anneal::PtOptions opts;
+  opts.replicas = 5;
+  opts.beta_min = 0.1;
+  opts.beta_max = 2.0;
+  opts.sweeps = 60;
+  opts.swap_interval = 4;
+
+  util::Xoshiro256pp rng_f(8);
+  util::Xoshiro256pp rng_e(8);
+  const auto factored = anneal::ParallelTempering(model, opts).run(rng_f);
+  const auto expanded = anneal::ParallelTempering(flat, opts).run(rng_e);
+  expect_same_run(factored, expanded);
+  EXPECT_EQ(rng_f(), rng_e());
+}
+
+TEST(LocalFieldParity, SqaFactoredPenaltyMatchesExpanded) {
+  const auto model = dyadic_penalty_model(24, 2, 53);
+  const auto flat = ising::expand_penalty(model);
+  anneal::SqaOptions opts;
+  opts.trotter_slices = 4;
+  opts.beta = 2.0;
+  opts.gamma_start = 2.0;
+  opts.gamma_end = 0.05;
+  opts.sweeps = 50;
+
+  util::Xoshiro256pp rng_f(9);
+  util::Xoshiro256pp rng_e(9);
+  const auto factored =
+      anneal::SimulatedQuantumAnnealer(model, opts).run(rng_f);
+  const auto expanded =
+      anneal::SimulatedQuantumAnnealer(flat, opts).run(rng_e);
+  expect_same_run(factored, expanded);
+  EXPECT_EQ(rng_f(), rng_e());
+}
+
+TEST(LocalFieldParity, TabuFactoredPenaltyMatchesExpanded) {
+  const auto model = dyadic_penalty_model(30, 5, 59);
+  const auto flat = ising::expand_penalty(model);
+  anneal::TabuOptions opts;
+  opts.steps = 400;
+  opts.tenure = 7;
+  opts.stall_limit = 60;
+
+  util::Xoshiro256pp rng_f(10);
+  util::Xoshiro256pp rng_e(10);
+  const auto factored = anneal::TabuSearch(model, opts).run(rng_f);
+  const auto expanded = anneal::TabuSearch(flat, opts).run(rng_e);
+  expect_same_run(factored, expanded);
+  EXPECT_EQ(rng_f(), rng_e());
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ TEST(LocalFieldState, ResetMatchesDenseInputs) {
   LocalFieldState lfs(model, adj);
   lfs.reset(m);
   for (std::size_t i = 0; i < model.n(); ++i) {
-    EXPECT_NEAR(lfs.field(i), model.input(m, i), 1e-12);
+    EXPECT_NEAR(lfs.field(m, i), model.input(m, i), 1e-12);
   }
   EXPECT_NEAR(lfs.energy(), model.energy(m), 1e-12);
 }
@@ -65,7 +65,38 @@ TEST(LocalFieldState, StaysInSyncThroughManyFlips) {
   // After 500 incremental updates the engine still agrees with the dense
   // recompute to tight tolerance.
   for (std::size_t i = 0; i < model.n(); ++i) {
-    EXPECT_NEAR(lfs.field(i), model.input(m, i), 1e-9);
+    EXPECT_NEAR(lfs.field(m, i), model.input(m, i), 1e-9);
+  }
+  EXPECT_NEAR(lfs.energy(), model.energy(m), 1e-9);
+}
+
+TEST(LocalFieldState, PenaltyBlockStaysInSyncThroughManyFlips) {
+  // The row activities S_r ride along with every flip; the factored input
+  // must keep matching the from-scratch IsingModel::input and energy.
+  auto model = random_model(28, 0.2, 11);
+  util::Xoshiro256pp rng(12);
+  model.set_penalty(1.37);
+  for (int r = 0; r < 4; ++r) {
+    std::vector<std::pair<std::uint32_t, double>> row;
+    for (std::uint32_t i = 0; i < model.n(); ++i) {
+      if (rng.bernoulli(0.4)) row.emplace_back(i, 2.0 * rng.uniform_sym());
+    }
+    model.add_penalty_row(row);
+  }
+  const Adjacency adj(model);
+  ASSERT_EQ(adj.penalty_rows(), 4u);
+  Spins m = random_spins(model.n(), rng);
+
+  LocalFieldState lfs(model, adj);
+  lfs.reset(m);
+  EXPECT_NEAR(lfs.energy(), model.energy(m), 1e-12);
+  for (int step = 0; step < 500; ++step) {
+    const auto i = static_cast<std::size_t>(rng.below(model.n()));
+    const double expected_delta = model.flip_delta(m, i);
+    EXPECT_NEAR(lfs.flip(m, i), expected_delta, 1e-9);
+  }
+  for (std::size_t i = 0; i < model.n(); ++i) {
+    EXPECT_NEAR(lfs.field(m, i), model.input(m, i), 1e-9);
   }
   EXPECT_NEAR(lfs.energy(), model.energy(m), 1e-9);
 }
@@ -80,9 +111,9 @@ TEST(LocalFieldState, ReadsFieldUpdatesLive) {
 
   LocalFieldState lfs(model, adj);
   lfs.reset(m);
-  const double before = lfs.field(3);
+  const double before = lfs.field(m, 3);
   model.set_field(3, model.field(3) + 2.5);
-  EXPECT_NEAR(lfs.field(3), before + 2.5, 1e-12);
+  EXPECT_NEAR(lfs.field(m, 3), before + 2.5, 1e-12);
 }
 
 TEST(LocalFieldState, SwapExchangesConfigurations) {
@@ -103,8 +134,8 @@ TEST(LocalFieldState, SwapExchangesConfigurations) {
   EXPECT_DOUBLE_EQ(fa.energy(), eb);
   EXPECT_DOUBLE_EQ(fb.energy(), ea);
   for (std::size_t i = 0; i < model.n(); ++i) {
-    EXPECT_NEAR(fa.field(i), model.input(b, i), 1e-12);
-    EXPECT_NEAR(fb.field(i), model.input(a, i), 1e-12);
+    EXPECT_NEAR(fa.field(b, i), model.input(b, i), 1e-12);
+    EXPECT_NEAR(fb.field(a, i), model.input(a, i), 1e-12);
   }
 }
 
