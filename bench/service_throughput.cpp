@@ -73,6 +73,7 @@
 #include <vector>
 
 #include "load_gen.hpp"
+#include "net/event_loop.hpp"
 #include "net/socket_child.hpp"
 #include "obs/metrics.hpp"
 #include "problems/mkp.hpp"
@@ -271,7 +272,8 @@ double run_sharded_wave(const std::string& serve, std::size_t shards,
   if (shards == 0) return -1.0;
   router_options.shards = shards;
   service::ShardRouter router(router_options);
-  service::Supervisor fleet(router, static_fleet_options(serve));
+  net::EventLoop loop;
+  service::Supervisor fleet(router, loop, static_fleet_options(serve));
   for (std::size_t s = 0; s < shards; ++s) {
     if (ports.empty()) {
       fleet.attach_local(s);
@@ -286,8 +288,10 @@ double run_sharded_wave(const std::string& serve, std::size_t shards,
   for (const auto& line : lines) {
     emitted += router.accept_line(line, ++line_no).size();
   }
+  emitted += fleet.pump().size();
   while (!router.idle()) {
-    emitted += fleet.pump(2).size();
+    loop.run_once(100);
+    emitted += fleet.pump().size();
     if (router.live_shards() == 0) break;
     if (timer.seconds() > 300.0) return -1.0;  // wedged child: fail loudly
   }
@@ -765,7 +769,8 @@ int main(int argc, char** argv) {
     router_options.replicas = 2;
     router_options.hedge_min_ms = 25.0;
     service::ShardRouter router(router_options);
-    service::Supervisor fleet(router, static_fleet_options(serve));
+    net::EventLoop loop;
+    service::Supervisor fleet(router, loop, static_fleet_options(serve));
     fleet.attach_local(0);
     fleet.attach_local(1);
 
@@ -776,8 +781,10 @@ int main(int argc, char** argv) {
       emitted += router.accept_line(line, ++line_no).size();
     }
     // Mid-wave: a quarter of the results are out, both shards are busy.
+    emitted += fleet.pump().size();
     while (emitted < jobs / 4 && timer.seconds() < 300.0) {
-      emitted += fleet.pump(2).size();
+      loop.run_once(100);
+      emitted += fleet.pump().size();
     }
     const std::size_t victim =
         router.inflight(0) + router.pending(0) >=
@@ -788,7 +795,8 @@ int main(int argc, char** argv) {
         dynamic_cast<service::ProcessChild*>(fleet.endpoint(victim));
     if (victim_child) ::kill(victim_child->pid(), SIGSTOP);
     while (!router.idle() && timer.seconds() < 300.0) {
-      emitted += fleet.pump(2).size();
+      loop.run_once(100);
+      emitted += fleet.pump().size();
       if (router.live_shards() == 0) break;
     }
     const double seconds = timer.seconds();

@@ -101,17 +101,17 @@ EventLoop::~EventLoop() {
 
 void EventLoop::add_fd(int fd, std::uint32_t interest, FdCallback callback) {
   if (fd < 0) return;
-  const bool existed = fds_.contains(fd);
-  fds_[fd] = FdEntry{interest, std::move(callback)};
+  remove_fd(fd);  // re-registering replaces the entry
+  FdEntry& entry = fds_[fd];
+  entry = FdEntry{interest, std::move(callback)};
 #if defined(__linux__)
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = to_epoll(interest);
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, existed ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev);
+  epoll_event ev{};
+  ev.events = to_epoll(interest);
+  ev.data.fd = fd;
+  if (epoll_fd_ >= 0 && ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    entry.always_ready = true;
+    always_ready_.push_back(fd);
   }
-#else
-  (void)existed;
 #endif
 }
 
@@ -121,7 +121,7 @@ void EventLoop::set_interest(int fd, std::uint32_t interest) {
   if (it->second.interest == interest) return;
   it->second.interest = interest;
 #if defined(__linux__)
-  if (epoll_fd_ >= 0) {
+  if (epoll_fd_ >= 0 && !it->second.always_ready) {
     epoll_event ev{};
     ev.events = to_epoll(interest);
     ev.data.fd = fd;
@@ -131,12 +131,16 @@ void EventLoop::set_interest(int fd, std::uint32_t interest) {
 }
 
 void EventLoop::remove_fd(int fd) {
-  if (fds_.erase(fd) == 0) return;
+  const auto it = fds_.find(fd);
+  if (it == fds_.end()) return;
+  if (it->second.always_ready) {
+    std::erase(always_ready_, fd);
+  } else if (epoll_fd_ >= 0) {
 #if defined(__linux__)
-  if (epoll_fd_ >= 0) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
 #endif
+  }
+  fds_.erase(it);
 }
 
 std::uint64_t EventLoop::add_timer(std::chrono::milliseconds delay,
@@ -194,8 +198,24 @@ void EventLoop::dispatch(int fd, std::uint32_t ready) {
   callback(ready);
 }
 
+bool EventLoop::always_ready_pending() const {
+  return std::any_of(always_ready_.begin(), always_ready_.end(),
+                     [this](int fd) { return fds_.at(fd).interest != 0; });
+}
+
+void EventLoop::dispatch_always_ready() {
+  // Copy: a callback may remove (or add) always-ready fds.
+  const std::vector<int> fds = always_ready_;
+  for (const int fd : fds) {
+    const auto it = fds_.find(fd);
+    if (it == fds_.end() || it->second.interest == 0) continue;
+    dispatch(fd, it->second.interest & (kRead | kWrite));
+  }
+}
+
 void EventLoop::run_once(int max_wait_ms) {
-  const int timeout = effective_timeout_ms(max_wait_ms);
+  const int timeout =
+      always_ready_pending() ? 0 : effective_timeout_ms(max_wait_ms);
 #if defined(__linux__)
   if (epoll_fd_ >= 0) {
     std::array<epoll_event, 64> events;
@@ -210,6 +230,7 @@ void EventLoop::run_once(int max_wait_ms) {
       }
       dispatch(fd, from_epoll(events[static_cast<std::size_t>(i)].events));
     }
+    dispatch_always_ready();
     return;
   }
 #endif
@@ -234,11 +255,13 @@ void EventLoop::run_once(int max_wait_ms) {
 }
 
 void EventLoop::run() {
-  stop_ = false;
-  while (!stop_) run_once(1000);
+  while (!stop_.exchange(false)) run_once(-1);
 }
 
-void EventLoop::stop() { stop_ = true; }
+void EventLoop::stop() {
+  stop_ = true;
+  wakeup();
+}
 
 void EventLoop::wakeup() {
   if (wake_write_fd_ < 0) return;

@@ -14,8 +14,8 @@
 //   * single-threaded: every method except wakeup() and stop() must be
 //     called from the loop thread (or before run() starts). wakeup()
 //     interrupts the current poll so the loop thread can notice
-//     externally-set state; stop()+wakeup() is the cross-thread way to
-//     end run().
+//     externally-set state; it is one write(2), so a signal handler may
+//     call it too. stop() is the cross-thread way to end run().
 //   * callbacks may freely add_fd/remove_fd/set_interest/add_timer,
 //     including removing the fd being dispatched or any other ready fd:
 //     the dispatch pass re-checks registration before every callback.
@@ -26,6 +26,10 @@
 //   * error/hangup conditions are delivered as kError | kRead even when
 //     read interest is off, so a paused-for-backpressure connection
 //     still learns that its peer vanished instead of leaking.
+//   * an fd epoll refuses (a regular file: `saim_shard < jobs.jsonl`) is
+//     always ready, as poll(2) reports it: while it has interest, every
+//     pass waits zero and dispatches it with its interest bits, so both
+//     backends behave alike and callers need no special case.
 #pragma once
 
 #include <atomic>
@@ -76,11 +80,11 @@ class EventLoop {
   /// to the next timer deadline; -1 = only timers bound the wait), then
   /// fires due timers and dispatches every ready fd.
   void run_once(int max_wait_ms);
-  /// run_once until stop(). Clears a previous stop request on entry.
+  /// run_once(-1) until stop(); returns at once when stop() came first.
+  /// Consumes the stop request, so the loop can run() again.
   void run();
-  /// Makes run() return after the current pass. Safe from any thread,
-  /// but a cross-thread stop must ALSO call wakeup() or run() only
-  /// notices at the end of the current (up to 1 s) poll.
+  /// Makes run() return after the current pass (wakes it). Safe from any
+  /// thread, also before run() starts.
   void stop();
   /// Thread-safe: interrupts the poll in progress so the loop thread
   /// re-evaluates external state immediately.
@@ -97,6 +101,7 @@ class EventLoop {
   struct FdEntry {
     std::uint32_t interest = 0;
     FdCallback callback;
+    bool always_ready = false;  ///< refused by epoll; see header contract
   };
   struct TimerEntry {
     Clock::time_point deadline;
@@ -113,6 +118,9 @@ class EventLoop {
   void fire_due_timers();
   void drain_wakeup() const;
   void dispatch(int fd, std::uint32_t ready);
+  /// True when an always-ready fd has interest: the pass must not block.
+  [[nodiscard]] bool always_ready_pending() const;
+  void dispatch_always_ready();
 
   int epoll_fd_ = -1;      ///< -1 on the poll backend
   int wake_read_fd_ = -1;  ///< eventfd (both roles) or pipe read end
@@ -120,6 +128,7 @@ class EventLoop {
   std::atomic<bool> stop_{false};
 
   std::unordered_map<int, FdEntry> fds_;
+  std::vector<int> always_ready_;  ///< fds epoll refused (epoll backend)
   std::priority_queue<TimerEntry, std::vector<TimerEntry>, TimerLater>
       timer_heap_;
   std::unordered_map<std::uint64_t, TimerCallback> timers_;

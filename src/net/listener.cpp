@@ -110,12 +110,10 @@ std::optional<int> Listener::accept_fd() {
   for (;;) {
     const int client = ::accept(fd_, nullptr, nullptr);
     if (client >= 0) {
+      // Every consumer multiplexes on an event loop: non-blocking, and
+      // not inherited by shard children.
+      set_nonblocking(client);
       set_cloexec(client);
-      // BSD-derived systems make accepted fds inherit the listener's
-      // O_NONBLOCK; the contract here is a BLOCKING fd (session threads
-      // depend on it), so clear it explicitly everywhere.
-      const int flags = ::fcntl(client, F_GETFL, 0);
-      if (flags >= 0) ::fcntl(client, F_SETFL, flags & ~O_NONBLOCK);
       return client;
     }
     if (errno == EINTR) continue;

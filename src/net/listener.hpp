@@ -25,9 +25,8 @@ class Listener {
   Listener& operator=(const Listener&) = delete;
 
   /// Accepts one pending connection; std::nullopt when none is waiting.
-  /// The returned fd is connected but otherwise untouched (blocking) —
-  /// wrap it in net::Connection for non-blocking line IO, or keep it
-  /// blocking for a dedicated session thread.
+  /// The returned fd is connected, non-blocking and close-on-exec — wrap
+  /// it in net::Connection for line IO.
   std::optional<int> accept_fd();
 
   void close();

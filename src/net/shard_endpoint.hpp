@@ -13,8 +13,11 @@
 //
 // All implementations are non-blocking on both sides: send_line buffers
 // in user space, pump_writes flushes what the kernel accepts, read_lines
-// drains what arrived. One thread multiplexes any number of endpoints
-// with poll() on read_fd().
+// drains what arrived. The Supervisor registers read_fd() (and
+// write_fd() while output is queued) on its net::EventLoop, so one
+// thread multiplexes any number of endpoints. Both fds stay valid for
+// the endpoint's whole life — terminate() included — except write_fd()
+// after shutdown_input(), so a loop never watches a closed number.
 #pragma once
 
 #include <string>
@@ -41,8 +44,8 @@ class ShardEndpoint {
   /// pipe / shutdown(SHUT_WR)); its output stays readable for the drain.
   virtual void shutdown_input() = 0;
 
-  /// Hard stop: SIGKILL the child / close the socket. The endpoint then
-  /// reaches eof() like any other death.
+  /// Hard stop: SIGKILL the child / shut the socket down both ways. The
+  /// next read then reaches eof() like any other death.
   virtual void terminate() = 0;
 
   /// Collects whatever the transport must not leak once the shard died
@@ -52,15 +55,16 @@ class ShardEndpoint {
   /// True once the shard closed its output (all lines received).
   [[nodiscard]] virtual bool eof() const = 0;
 
-  /// The fd to poll() for readability; negative when nothing to poll.
+  /// The fd to watch for readability; negative when nothing to watch.
   [[nodiscard]] virtual int read_fd() const = 0;
+
+  /// The fd to watch for writability while outbound_bytes() > 0 (may
+  /// equal read_fd()); negative when there is none (a pipe after
+  /// shutdown_input()).
+  [[nodiscard]] virtual int write_fd() const = 0;
 
   /// Bytes queued but not yet accepted by the transport.
   [[nodiscard]] virtual std::size_t outbound_bytes() const = 0;
-
-  /// Human-readable endpoint identity for logs ("pid 4242", "tcp
-  /// 10.0.0.7:7777").
-  [[nodiscard]] virtual std::string describe() const = 0;
 };
 
 }  // namespace saim::net

@@ -1,5 +1,7 @@
 #include "net/socket_child.hpp"
 
+#include <sys/socket.h>
+
 #include <utility>
 
 #include "util/jsonl.hpp"
@@ -32,21 +34,20 @@ std::vector<std::string> SocketChild::read_lines() {
 
 void SocketChild::shutdown_input() { connection_.shutdown_write(); }
 
-void SocketChild::terminate() { connection_.close(); }
-
-bool SocketChild::eof() const {
-  // A closed fd means terminate() ran: nothing more will ever arrive.
-  return connection_.eof() || connection_.fd() < 0;
+void SocketChild::terminate() {
+  // Both directions down, fd kept: the next read sees EOF like any other
+  // death, and the fd stays valid while an event loop watches it.
+  if (connection_.fd() >= 0) ::shutdown(connection_.fd(), SHUT_RDWR);
 }
+
+bool SocketChild::eof() const { return connection_.eof(); }
 
 int SocketChild::read_fd() const { return connection_.fd(); }
 
+int SocketChild::write_fd() const { return connection_.fd(); }
+
 std::size_t SocketChild::outbound_bytes() const {
   return connection_.outbound_bytes();
-}
-
-std::string SocketChild::describe() const {
-  return "tcp " + host_ + ":" + std::to_string(port_);
 }
 
 }  // namespace saim::net

@@ -38,8 +38,8 @@ class SocketChild : public ShardEndpoint {
   void terminate() override;
   [[nodiscard]] bool eof() const override;
   [[nodiscard]] int read_fd() const override;
+  [[nodiscard]] int write_fd() const override;
   [[nodiscard]] std::size_t outbound_bytes() const override;
-  [[nodiscard]] std::string describe() const override;
 
   [[nodiscard]] const std::string& host() const noexcept { return host_; }
   [[nodiscard]] int port() const noexcept { return port_; }

@@ -83,14 +83,11 @@ class ProcessChild : public net::ShardEndpoint {
   [[nodiscard]] int exit_status() const noexcept { return status_; }
 
   [[nodiscard]] pid_t pid() const noexcept { return pid_; }
-  /// The fd to poll() for readability.
   [[nodiscard]] int read_fd() const noexcept override { return out_fd_; }
+  [[nodiscard]] int write_fd() const noexcept override { return in_fd_; }
   /// Bytes queued but not yet accepted by the pipe.
   [[nodiscard]] std::size_t outbound_bytes() const noexcept override {
     return outbuf_.size();
-  }
-  [[nodiscard]] std::string describe() const override {
-    return "pid " + std::to_string(pid_);
   }
 
  private:

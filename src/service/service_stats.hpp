@@ -7,7 +7,7 @@
 //                                exposition (format 0.0.4).
 //
 // Both read only atomics and the mutex-guarded registry, so they are safe
-// to call from any thread (the metrics server's scrape thread included)
+// to call from any thread (saim_serve's metrics thread included)
 // while workers run. scripts/check_protocol_docs.sh greps this module's
 // .cpp for emitted field names — keep docs/PROTOCOL.md in lockstep.
 #pragma once

@@ -507,27 +507,30 @@ void ShardRouter::requeue_inflight(std::size_t shard) {
   }
 }
 
+bool ShardRouter::hedging() const {
+  return options_.hedge_min_ms > 0.0 && options_.replicas >= 2 &&
+         ring_.shard_count() >= 2;
+}
+
+double ShardRouter::hedge_threshold_ms(std::size_t shard) const {
+  // Adaptive threshold: this shard's observed round-trip p95, floored by
+  // hedge_min_ms so an empty histogram (or a pathologically fast one)
+  // cannot trigger a hedge storm.
+  const obs::HistogramSnapshot snap = latency_snapshot(shard);
+  return snap.count > 0 ? std::max(options_.hedge_min_ms, snap.quantile(0.95))
+                        : options_.hedge_min_ms;
+}
+
 std::size_t ShardRouter::dispatch_hedges() {
   thread_checker_.assert_current_thread();
-  if (options_.hedge_min_ms <= 0.0 || options_.replicas < 2 ||
-      ring_.shard_count() < 2) {
-    return 0;
-  }
+  if (!hedging()) return 0;
   const auto now = std::chrono::steady_clock::now();
   std::size_t dispatched = 0;
   for (auto& [token, job] : jobs_) {
     if (!job.inflight || job.hedge_shard) continue;
-    // Adaptive threshold: this shard's observed round-trip p95, floored
-    // by hedge_min_ms so an empty histogram (or a pathologically fast
-    // one) cannot trigger a hedge storm.
-    double threshold_ms = options_.hedge_min_ms;
-    const obs::HistogramSnapshot snap = latency_snapshot(job.shard);
-    if (snap.count > 0) {
-      threshold_ms = std::max(threshold_ms, snap.quantile(0.95));
-    }
     const double elapsed_ms =
         std::chrono::duration<double, std::milli>(now - job.sent_at).count();
-    if (elapsed_ms < threshold_ms) continue;
+    if (elapsed_ms < hedge_threshold_ms(job.shard)) continue;
     // The hedge target: the first replica that is not the job's own
     // shard. replicas() only walks live shards, so the target can take
     // the copy right now.
@@ -549,6 +552,22 @@ std::size_t ShardRouter::dispatch_hedges() {
     ++dispatched;
   }
   return dispatched;
+}
+
+std::optional<std::chrono::steady_clock::time_point>
+ShardRouter::next_hedge_at() const {
+  if (!hedging()) return std::nullopt;
+  std::optional<std::chrono::steady_clock::time_point> next;
+  for (const auto& [token, job] : jobs_) {
+    if (!job.inflight || job.hedge_shard) continue;
+    const auto due =
+        job.sent_at +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double, std::milli>(
+                hedge_threshold_ms(job.shard)));
+    if (!next || due < *next) next = due;
+  }
+  return next;
 }
 
 bool ShardRouter::take_pong(std::size_t shard) {

@@ -188,9 +188,15 @@ class ShardRouter {
   /// rewritten line — SAME routing token — queued onto the next live
   /// replica. The first result to come back wins (on_child_line dedupes
   /// by token); the loser's line is swallowed as a late duplicate and
-  /// both copies' window slots are released. Call once per pump cycle.
-  /// Returns the number of hedges dispatched.
+  /// both copies' window slots are released. The Supervisor calls it
+  /// from a loop timer armed for next_hedge_at(). Returns the number of
+  /// hedges dispatched.
   std::size_t dispatch_hedges();
+
+  /// When the next in-flight job crosses its hedge threshold (possibly
+  /// already past); std::nullopt when none could be hedged.
+  [[nodiscard]] std::optional<std::chrono::steady_clock::time_point>
+  next_hedge_at() const;
 
   /// Moves `shard`'s written-but-unanswered jobs back to the head of its
   /// pending queue (original accept order): the sole-shard respawn path,
@@ -279,6 +285,10 @@ class ShardRouter {
     std::string id;
   };
 
+  /// Hedging is configured and the ring has a replica to hedge onto.
+  [[nodiscard]] bool hedging() const;
+  /// `shard`'s hedge threshold: max(hedge_min_ms, its round-trip p95).
+  [[nodiscard]] double hedge_threshold_ms(std::size_t shard) const;
   /// One outstanding job finished (emitted or orphaned): advance drains.
   void finished(std::uint64_t ordinal, std::vector<std::string>* out);
   [[nodiscard]] std::string drained_line(const Drain& drain) const;

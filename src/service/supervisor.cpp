@@ -1,12 +1,10 @@
 #include "service/supervisor.hpp"
 
-#include <poll.h>
 #include <sys/wait.h>
 
 #include <algorithm>
 #include <map>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "net/socket_child.hpp"
@@ -21,6 +19,10 @@ namespace saim::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using std::chrono::milliseconds;
+
+/// How long a fleet-stats probe waits on a shard that does not answer.
+constexpr milliseconds kStatsDeadline{2000};
 
 void append(std::vector<std::string>* out, std::vector<std::string> lines) {
   out->insert(out->end(), std::make_move_iterator(lines.begin()),
@@ -29,35 +31,44 @@ void append(std::vector<std::string>* out, std::vector<std::string> lines) {
 
 }  // namespace
 
-Supervisor::Supervisor(ShardRouter& router, SupervisorOptions options)
-    : router_(router), options_(std::move(options)),
-      last_ping_(Clock::now()), last_gossip_(Clock::now()) {
+Supervisor::Supervisor(ShardRouter& router, net::EventLoop& loop,
+                       SupervisorOptions options)
+    : router_(router), loop_(loop), options_(std::move(options)) {
   slots_.resize(router_.shard_slots());
+  every(options_.ping_ms, &ping_timer_, &Supervisor::send_health_pings);
+  // Periodic warm-pool gossip: the same export_warm probe the
+  // membership-change handoff uses, warming replicas that joined (or
+  // respawned) after the pool entries were found.
+  every(options_.gossip_ms, &gossip_timer_,
+        &Supervisor::request_warm_rebalance);
 }
 
-Supervisor::~Supervisor() = default;
+Supervisor::~Supervisor() {
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    release(s);
+    disarm(slots_[s].respawn_timer);
+  }
+  for (StatsProbe& probe : stats_probes_) disarm(probe.deadline_timer);
+  disarm(ping_timer_);
+  disarm(gossip_timer_);
+  disarm(hedge_timer_);
+}
 
 void Supervisor::ensure_slot(std::size_t slot) {
   if (slot >= slots_.size()) slots_.resize(slot + 1);
 }
 
 void Supervisor::attach_local(std::size_t slot) {
-  thread_checker_.assert_current_thread();
-  if (slot >= router_.shard_slots()) {
-    throw std::logic_error("Supervisor: slot beyond the router's shards");
-  }
-  ensure_slot(slot);
-  Slot& s = slots_[slot];
-  if (s.attached) throw std::logic_error("Supervisor: slot already attached");
-  s.endpoint = std::make_unique<ProcessChild>(options_.local_argv);
-  s.local = true;
-  s.attached = true;
-  s.want = true;
-  s.spawned_at = Clock::now();
+  attach(slot, true, "", 0);
 }
 
 void Supervisor::attach_remote(std::size_t slot, const std::string& host,
                                int port) {
+  attach(slot, false, host, port);
+}
+
+void Supervisor::attach(std::size_t slot, bool local, const std::string& host,
+                        int port) {
   thread_checker_.assert_current_thread();
   if (slot >= router_.shard_slots()) {
     throw std::logic_error("Supervisor: slot beyond the router's shards");
@@ -65,15 +76,24 @@ void Supervisor::attach_remote(std::size_t slot, const std::string& host,
   ensure_slot(slot);
   Slot& s = slots_[slot];
   if (s.attached) throw std::logic_error("Supervisor: slot already attached");
-  s.endpoint =
-      std::make_unique<net::SocketChild>(host, port,
-                                         options_.remote_auth_token);
-  s.local = false;
-  s.attached = true;
-  s.want = true;
+  s.local = local;
   s.host = host;
   s.port = port;
-  s.spawned_at = Clock::now();
+  spawn(slot);
+  s.attached = true;
+  s.want = true;
+}
+
+void Supervisor::spawn(std::size_t s) {
+  Slot& slot = slots_[s];
+  if (slot.local) {
+    slot.endpoint = std::make_unique<ProcessChild>(options_.local_argv);
+  } else {
+    slot.endpoint = std::make_unique<net::SocketChild>(
+        slot.host, slot.port, options_.remote_auth_token);
+  }
+  slot.spawned_at = Clock::now();
+  watch(s);
 }
 
 net::ShardEndpoint* Supervisor::endpoint(std::size_t s) const {
@@ -92,136 +112,175 @@ std::size_t Supervisor::desired_locals() const {
   return count;
 }
 
-std::vector<std::string> Supervisor::pump(int poll_ms) {
-  thread_checker_.assert_current_thread();
-  std::vector<std::string> out;
-  std::swap(out, deferred_out_);
-  const auto now = Clock::now();
+void Supervisor::disarm(std::uint64_t& timer) {
+  if (timer != 0) loop_.cancel_timer(timer);
+  timer = 0;
+}
 
-  // Respawns that have served their backoff.
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].respawn_pending && now >= slots_[s].respawn_at) {
-      try_respawn(s, &out);
-    }
+void Supervisor::watch(std::size_t s) {
+  Slot& slot = slots_[s];
+  const net::ShardEndpoint* e = slot.endpoint.get();
+  const int read_fd = e ? e->read_fd() : -1;
+  const int write_fd = e && e->outbound_bytes() > 0 ? e->write_fd() : -1;
+  const bool socket = write_fd >= 0 && write_fd == read_fd;  // one fd
+  rewatch(s, slot.watched_read, read_fd,
+          net::EventLoop::kRead | (socket ? net::EventLoop::kWrite : 0u));
+  rewatch(s, slot.watched_write, socket ? -1 : write_fd,
+          net::EventLoop::kWrite);
+}
+
+void Supervisor::rewatch(std::size_t s, int& watched, int fd,
+                         std::uint32_t interest) {
+  if (fd == watched) {
+    if (fd >= 0) loop_.set_interest(fd, interest);  // no-op when unchanged
+    return;
   }
+  if (watched >= 0) loop_.remove_fd(watched);
+  if (fd >= 0) {
+    loop_.add_fd(fd, interest,
+                 [this, s](std::uint32_t ready) { on_ready(s, ready); });
+  }
+  watched = fd;
+}
 
-  // Hedge pass: queue replica copies of jobs stuck in flight past their
-  // shard's adaptive threshold, so the send loop below writes them in
-  // this same cycle.
-  router_.dispatch_hedges();
+void Supervisor::on_ready(std::size_t s, std::uint32_t ready) {
+  if (!slots_[s].endpoint) return;
+  // kError may arrive on the write fd alone (the child closed its
+  // stdin): the failing write is what clears the queued output.
+  if (ready & (net::EventLoop::kWrite | net::EventLoop::kError)) flush(s);
+  if (ready & net::EventLoop::kRead) read_from(s);
+}
 
-  // Send: fill each live shard's window; keep flushing retiring shards
-  // so their farewell control lines leave the user-space buffer, then
-  // half-close them.
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    Slot& slot = slots_[s];
-    if (!slot.endpoint) continue;
+void Supervisor::flush(std::size_t s) {
+  Slot& slot = slots_[s];
+  if (!slot.endpoint) return;
+  slot.endpoint->pump_writes();
+  watch(s);  // write interest exactly while output stays queued
+  if (slot.retiring && slot.endpoint->outbound_bytes() == 0) {
+    // Farewell lines are out, and watch() dropped the write fd: half-close
+    // so the retiree drains and exits.
+    slot.endpoint->shutdown_input();
+  }
+}
+
+void Supervisor::read_from(std::size_t s) {
+  Slot& slot = slots_[s];
+  // Retiring shards are read too, so results they computed before
+  // departure are harvested, not recomputed. Deaths are declared only at
+  // EOF (flushed results are never discarded).
+  for (const auto& line : slot.endpoint->read_lines()) {
+    append(&out_, router_.on_child_line(s, line));
+  }
+  if (const auto warm = router_.take_warm_export(s)) forward_warm(s, *warm);
+  if (const auto stats_json = router_.take_stats_export(s)) {
+    // Deliver to the oldest aggregation still waiting on this shard.
+    for (auto& probe : stats_probes_) {
+      if (probe.waiting.erase(s) > 0) {
+        probe.replies[s] = *stats_json;
+        break;
+      }
+    }
+    advance_stats_probes();
+  }
+  if (slot.endpoint->eof()) {
     if (slot.retiring) {
-      slot.endpoint->pump_writes();
-      if (slot.endpoint->outbound_bytes() == 0) {
-        slot.endpoint->shutdown_input();
-      }
-      if (now >= slot.retire_deadline) {
-        // Wedged retiree (not reading, not exiting): it already left the
-        // ring and its jobs were requeued, so cut it loose.
-        slot.endpoint->terminate();
-      }
-      continue;
+      release(s);  // retirement complete
+    } else {
+      on_death(s);
     }
-    if (!router_.alive(s)) continue;
-    for (auto& line : router_.take_sendable(s)) slot.endpoint->send_line(line);
-    slot.endpoint->pump_writes();
+    // A shard that is gone answers no stats probe: stop waiting for it.
+    for (auto& probe : stats_probes_) probe.waiting.erase(s);
+    advance_stats_probes();
   }
+}
 
-  // Wait for output anywhere (live or retiring).
-  std::vector<pollfd> fds;
-  fds.reserve(slots_.size());
-  for (const Slot& slot : slots_) {
-    if (slot.endpoint && !slot.endpoint->eof() &&
-        slot.endpoint->read_fd() >= 0) {
-      fds.push_back(pollfd{slot.endpoint->read_fd(), POLLIN, 0});
-    }
+void Supervisor::release(std::size_t s) {
+  Slot& slot = slots_[s];
+  rewatch(s, slot.watched_read, -1, 0);
+  rewatch(s, slot.watched_write, -1, 0);
+  disarm(slot.retire_timer);
+  slot.retiring = false;
+  if (slot.endpoint) {
+    slot.endpoint->reap();
+    slot.endpoint.reset();
   }
-  if (!fds.empty() && poll_ms >= 0) {
-    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), poll_ms);
-  } else if (poll_ms > 0) {
-    // Nothing pollable (every endpoint dead, respawns on backoff):
-    // honor the wait anyway so the caller's loop does not spin hot
-    // through the backoff window.
-    std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
-  }
+}
 
-  // Read everyone — retiring shards included, so results they computed
-  // before departure are harvested, not recomputed. Deaths are declared
-  // only at EOF (flushed results are never discarded).
+std::vector<std::string> Supervisor::pump() {
+  thread_checker_.assert_current_thread();
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     Slot& slot = slots_[s];
     if (!slot.endpoint) continue;
-    for (const auto& line : slot.endpoint->read_lines()) {
-      append(&out, router_.on_child_line(s, line));
-    }
-    if (const auto warm = router_.take_warm_export(s)) {
-      forward_warm(s, *warm);
-    }
-    if (const auto stats_json = router_.take_stats_export(s)) {
-      // Deliver to the oldest aggregation still waiting on this shard.
-      for (auto& probe : stats_probes_) {
-        if (probe.waiting.erase(s) > 0) {
-          probe.replies[s] = *stats_json;
-          break;
-        }
+    if (!slot.retiring && router_.alive(s)) {
+      for (auto& line : router_.take_sendable(s)) {
+        slot.endpoint->send_line(line);
       }
     }
-    if (slot.endpoint->eof()) {
-      if (slot.retiring) {
-        slot.endpoint->reap();
-        slot.endpoint.reset();
-        slot.retiring = false;  // retirement complete
-      } else {
-        on_death(s, &out);
-      }
-    }
+    flush(s);
   }
+  arm_hedge();
+  return std::exchange(out_, {});
+}
 
-  send_health_pings();
-  if (options_.gossip_ms > 0 &&
-      now - last_gossip_ >= std::chrono::milliseconds(options_.gossip_ms)) {
-    // Periodic warm-pool gossip: the same export_warm probe the
-    // membership-change handoff uses, on a timer — replies route through
-    // forward_warm above on later pumps, warming replicas that joined
-    // (or respawned) after the pool entries were found.
-    last_gossip_ = now;
-    request_warm_rebalance();
-  }
-  advance_stats_probes(&out);
-  return out;
+void Supervisor::arm_hedge() {
+  const auto due = router_.next_hedge_at();
+  if (!due || (hedge_timer_ != 0 && hedge_at_ <= *due)) return;
+  disarm(hedge_timer_);
+  hedge_at_ = *due;
+  // At least 1 ms: a threshold already past fires on the next pass, and
+  // the pump that follows writes the copies.
+  const auto delay = std::max(
+      milliseconds(1),
+      std::chrono::ceil<milliseconds>(*due - Clock::now()));
+  hedge_timer_ = loop_.add_timer(delay, [this] {
+    hedge_timer_ = 0;
+    router_.dispatch_hedges();
+  });
+}
+
+void Supervisor::every(int period_ms, std::uint64_t* timer,
+                       void (Supervisor::*duty)()) {
+  if (period_ms <= 0) return;
+  *timer = loop_.add_timer(milliseconds(period_ms), [=, this] {
+    (this->*duty)();
+    every(period_ms, timer, duty);
+  });
 }
 
 void Supervisor::request_fleet_stats(const std::string& reply_id) {
   thread_checker_.assert_current_thread();
   StatsProbe probe;
+  probe.serial = probe_counter_++;
   probe.reply_id = reply_id;
-  probe.deadline = Clock::now() + std::chrono::milliseconds(2000);
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     if (!slots_[s].endpoint || slots_[s].retiring || !router_.alive(s)) {
       continue;
     }
     slots_[s].endpoint->send_line(R"({"cmd":"stats","id":"_stats)" +
                                   std::to_string(probe_counter_++) + "\"}");
-    slots_[s].endpoint->pump_writes();
+    flush(s);
     probe.waiting.insert(s);
   }
+  // At the deadline, emit with whatever arrived: a wedged shard must not
+  // make the whole fleet unobservable.
+  probe.deadline_timer =
+      loop_.add_timer(kStatsDeadline, [this, serial = probe.serial] {
+        for (auto& p : stats_probes_) {
+          if (p.serial != serial) continue;
+          p.deadline_timer = 0;
+          p.waiting.clear();
+        }
+        advance_stats_probes();
+      });
   stats_probes_.push_back(std::move(probe));
+  advance_stats_probes();
 }
 
-void Supervisor::advance_stats_probes(std::vector<std::string>* out) {
-  if (stats_probes_.empty()) return;
-  const auto now = Clock::now();
+void Supervisor::advance_stats_probes() {
   for (auto it = stats_probes_.begin(); it != stats_probes_.end();) {
-    // Emit when complete — or at the deadline with whatever arrived: a
-    // wedged shard must not make the whole fleet unobservable.
-    if (it->waiting.empty() || now >= it->deadline) {
-      out->push_back(fleet_stats_line(*it));
+    if (it->waiting.empty()) {
+      out_.push_back(fleet_stats_line(*it));
+      disarm(it->deadline_timer);
       it = stats_probes_.erase(it);
     } else {
       ++it;
@@ -291,7 +350,7 @@ std::string Supervisor::fleet_stats_line(const StatsProbe& probe) const {
   return line.str();
 }
 
-void Supervisor::on_death(std::size_t s, std::vector<std::string>* out) {
+void Supervisor::on_death(std::size_t s) {
   Slot& slot = slots_[s];
   slot.endpoint->reap();
   // An exec failure (bad --serve path after a respawn) deserves a loud,
@@ -301,13 +360,11 @@ void Supervisor::on_death(std::size_t s, std::vector<std::string>* out) {
       WEXITSTATUS(child->exit_status()) == 127) {
     util::log_error() << "shard " << s << " could not exec its saim_serve";
   }
-  slot.endpoint.reset();
+  release(s);
   slot.ping_outstanding = false;
   slot.missed_pongs = 0;
 
-  const auto now = Clock::now();
-  if (now - slot.spawned_at >=
-      std::chrono::milliseconds(options_.stable_ms)) {
+  if (Clock::now() - slot.spawned_at >= milliseconds(options_.stable_ms)) {
     slot.restarts = 0;  // it earned its budget back before dying
   }
 
@@ -324,13 +381,9 @@ void Supervisor::on_death(std::size_t s, std::vector<std::string>* out) {
       // member.
       router_.requeue_inflight(s);
     } else if (router_.alive(s)) {
-      append(out, router_.on_child_down(s));  // PR 4 failover first
+      append(&out_, router_.on_child_down(s));  // failover first
     }
-    const int backoff = std::min(
-        options_.backoff_max_ms,
-        options_.backoff_initial_ms << std::min(slot.restarts, 20));
-    slot.respawn_pending = true;
-    slot.respawn_at = now + std::chrono::milliseconds(backoff);
+    const int backoff = arm_respawn(s);
     if (slot.local) {
       util::log_warn() << "shard " << s << " down, respawning in " << backoff
                        << " ms (attempt " << slot.restarts + 1 << "/"
@@ -345,46 +398,47 @@ void Supervisor::on_death(std::size_t s, std::vector<std::string>* out) {
   }
 
   // Dead for good: reconnect/respawn disabled or budget exhausted.
-  if (router_.alive(s)) append(out, router_.on_child_down(s));
+  if (router_.alive(s)) append(&out_, router_.on_child_down(s));
   if (revivable && slot.want) {
     ++stats_.respawn_failures;
     util::log_error() << "shard " << s << " abandoned after " << slot.restarts
                       << " crashes";
   }
   slot.want = false;
-  slot.respawn_pending = false;
+  disarm(slot.respawn_timer);
 }
 
-bool Supervisor::try_respawn(std::size_t s, std::vector<std::string>* out) {
+int Supervisor::arm_respawn(std::size_t s) {
+  const int backoff = std::min(
+      options_.backoff_max_ms,
+      options_.backoff_initial_ms << std::min(slots_[s].restarts, 20));
+  disarm(slots_[s].respawn_timer);
+  slots_[s].respawn_timer = loop_.add_timer(milliseconds(backoff), [this, s] {
+    slots_[s].respawn_timer = 0;
+    try_respawn(s);
+  });
+  return backoff;
+}
+
+void Supervisor::try_respawn(std::size_t s) {
   Slot& slot = slots_[s];
-  slot.respawn_pending = false;
-  if (!slot.want || (!slot.local && slot.host.empty())) return false;
+  if (!slot.want || (!slot.local && slot.host.empty())) return;
   try {
-    if (slot.local) {
-      slot.endpoint = std::make_unique<ProcessChild>(options_.local_argv);
-    } else {
-      slot.endpoint = std::make_unique<net::SocketChild>(
-          slot.host, slot.port, options_.remote_auth_token);
-    }
+    spawn(s);
   } catch (const std::exception&) {
     // fork/pipe failure (fd or process exhaustion) — or, for a remote,
     // a server that is not back yet: retry on backoff like a crash,
     // give up on the same budget.
     ++slot.restarts;
     if (slot.restarts >= options_.max_restarts) {
-      if (router_.alive(s)) append(out, router_.on_child_down(s));
+      if (router_.alive(s)) append(&out_, router_.on_child_down(s));
       slot.want = false;
       ++stats_.respawn_failures;
-      return false;
+      return;
     }
-    const int backoff = std::min(
-        options_.backoff_max_ms,
-        options_.backoff_initial_ms << std::min(slot.restarts, 20));
-    slot.respawn_pending = true;
-    slot.respawn_at = Clock::now() + std::chrono::milliseconds(backoff);
-    return false;
+    arm_respawn(s);
+    return;
   }
-  slot.spawned_at = Clock::now();
   ++slot.restarts;
   if (slot.local) {
     ++stats_.respawns;
@@ -398,7 +452,6 @@ bool Supervisor::try_respawn(std::size_t s, std::vector<std::string>* out) {
     router_.revive_shard(s);  // the old keyslice routes back here
     request_warm_rebalance();  // ... and its warm entries follow
   }
-  return true;
 }
 
 std::size_t Supervisor::reshard(std::size_t target_locals) {
@@ -431,14 +484,13 @@ std::size_t Supervisor::reshard(std::size_t target_locals) {
         continue;
       }
       try {
-        slot.endpoint = std::make_unique<ProcessChild>(options_.local_argv);
+        spawn(s);
       } catch (const std::exception&) {
         continue;  // try another slot; brand-new slots below may work
       }
       slot.want = true;
       slot.restarts = 0;
-      slot.respawn_pending = false;
-      slot.spawned_at = Clock::now();
+      disarm(slot.respawn_timer);
       if (!router_.alive(s)) router_.revive_shard(s);
       --needed;
     }
@@ -461,6 +513,7 @@ std::size_t Supervisor::reshard(std::size_t target_locals) {
       slot.attached = true;
       slot.want = true;
       slot.spawned_at = Clock::now();
+      watch(s);
       --needed;
     }
     if (failed_spawns > 0) {
@@ -479,7 +532,7 @@ std::size_t Supervisor::reshard(std::size_t target_locals) {
     Slot& slot = slots_[i];
     if (!slot.local || !slot.want || slot.retiring) continue;
     slot.want = false;
-    slot.respawn_pending = false;
+    disarm(slot.respawn_timer);
     ++stats_.retired;
     --to_remove;
     if (slot.endpoint) {
@@ -487,15 +540,17 @@ std::size_t Supervisor::reshard(std::size_t target_locals) {
           R"({"cmd":"export_warm","id":"_probe)" +
           std::to_string(probe_counter_++) + "\"}");
       slot.endpoint->send_line(R"({"cmd":"shutdown","id":"_retire"})");
-      slot.endpoint->pump_writes();
       slot.retiring = true;
-      slot.retire_deadline =
-          Clock::now() +
-          std::chrono::milliseconds(options_.retire_grace_ms);
+      flush(i);
+      // A wedged retiree (not reading, not exiting) already left the
+      // ring and its jobs were requeued: past the grace, cut it loose.
+      slot.retire_timer =
+          loop_.add_timer(milliseconds(options_.retire_grace_ms), [this, i] {
+            slots_[i].retire_timer = 0;
+            if (slots_[i].endpoint) slots_[i].endpoint->terminate();
+          });
     }
-    if (router_.alive(i)) {
-      append(&deferred_out_, router_.on_child_down(i));
-    }
+    if (router_.alive(i)) append(&out_, router_.on_child_down(i));
   }
   return desired_locals();
 }
@@ -508,6 +563,7 @@ void Supervisor::request_warm_rebalance() {
     slots_[s].endpoint->send_line(
         R"({"cmd":"export_warm","id":"_probe)" +
         std::to_string(probe_counter_++) + "\"}");
+    flush(s);
   }
 }
 
@@ -551,16 +607,12 @@ void Supervisor::forward_warm(std::size_t donor, const std::string& warm_json) {
         .field("id", "_warm" + std::to_string(probe_counter_++))
         .raw_field("warm", payload);
     slots_[owner].endpoint->send_line(line.str());
-    slots_[owner].endpoint->pump_writes();
+    flush(owner);
     stats_.warm_forwarded += forwarded[owner];
   }
 }
 
 void Supervisor::send_health_pings() {
-  if (options_.ping_ms <= 0) return;
-  const auto now = Clock::now();
-  if (now - last_ping_ < std::chrono::milliseconds(options_.ping_ms)) return;
-  last_ping_ = now;
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     Slot& slot = slots_[s];
     if (!slot.endpoint || slot.retiring || !router_.alive(s)) continue;
@@ -575,54 +627,45 @@ void Supervisor::send_health_pings() {
     }
     slot.endpoint->send_line(R"({"cmd":"ping"})");
     slot.ping_outstanding = true;
+    flush(s);
   }
 }
 
 void Supervisor::shutdown_fleet(int grace_ms) {
   thread_checker_.assert_current_thread();
-  for (Slot& slot : slots_) {
+  const auto deadline = Clock::now() + milliseconds(grace_ms);
+  bool open = false;
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    Slot& slot = slots_[s];
     slot.want = false;
-    slot.respawn_pending = false;
+    disarm(slot.respawn_timer);
+    if (!slot.endpoint) continue;
     // Local children are OURS: tell them to shut the whole process down.
     // A remote server belongs to its operator and may be serving other
-    // front doors — only this session ends (the input half-close below),
-    // never the server.
-    if (slot.local && slot.endpoint && !slot.endpoint->eof()) {
+    // front doors — only this session ends (the input half-close), never
+    // the server.
+    if (slot.local && !slot.retiring) {
       slot.endpoint->send_line(R"({"cmd":"shutdown","id":"_bye"})");
-      slot.endpoint->pump_writes();
+    }
+    // Every member now drains like a shrink retiree: flush, half-close,
+    // read to EOF. Tail results still count — they route through the
+    // router, so a drain initiated right before teardown loses nothing.
+    slot.retiring = true;
+    flush(s);
+    open = true;
+  }
+  while (open && Clock::now() < deadline) {
+    loop_.run_once(static_cast<int>(
+        std::chrono::ceil<milliseconds>(deadline - Clock::now()).count()));
+    open = false;
+    for (const Slot& slot : slots_) {
+      if (slot.endpoint) open = true;
     }
   }
-  const auto deadline = Clock::now() + std::chrono::milliseconds(grace_ms);
-  for (;;) {
-    bool open = false;
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      Slot& slot = slots_[s];
-      if (!slot.endpoint) continue;
-      if (!slot.endpoint->eof()) {
-        slot.endpoint->pump_writes();
-        if (slot.endpoint->outbound_bytes() == 0) {
-          slot.endpoint->shutdown_input();
-        }
-        // Tail results still count: feed them through the router so a
-        // drain initiated right before teardown loses nothing.
-        for (const auto& line : slot.endpoint->read_lines()) {
-          append(&deferred_out_, router_.on_child_line(s, line));
-        }
-        if (!slot.endpoint->eof()) {
-          open = true;
-          continue;
-        }
-      }
-      slot.endpoint->reap();
-      slot.endpoint.reset();
-    }
-    if (!open || Clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (Slot& slot : slots_) {
-    if (slot.endpoint) {
-      slot.endpoint->terminate();  // overstayed the grace period
-      slot.endpoint.reset();       // dtor reaps
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    if (slots_[s].endpoint) {
+      slots_[s].endpoint->terminate();  // overstayed the grace period
+      release(s);                       // the endpoint's dtor reaps
     }
   }
 }

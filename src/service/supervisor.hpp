@@ -4,7 +4,7 @@
 // the ring forever and --shards was fixed at spawn. The Supervisor owns
 // the fleet's endpoints (local fork/exec children and remote TCP shards
 // behind one net::ShardEndpoint interface) and adds the management
-// behaviors on top of the same ShardRouter/pump cycle:
+// behaviors on top of the ShardRouter:
 //
 //   * respawn — a crashed LOCAL child is re-exec'd with exponential
 //     backoff and re-added to the ring (revive_shard: consistent hashing
@@ -26,7 +26,7 @@
 //     its unanswered jobs requeued onto the survivors via the PR 4
 //     failover path (exactly-once: a late result from the retiree and
 //     the rerun's result dedupe by routing token, first one wins), and
-//     is then sent {"cmd":"shutdown"} — its tail output is pumped until
+//     is then sent {"cmd":"shutdown"} — its tail output is read until
 //     the farewell EOF so nothing it already computed is discarded.
 //
 //   * warm handoff — whenever ring membership changes (respawn rejoin,
@@ -42,8 +42,15 @@
 //     lives here now; an unresponsive shard is terminated and flows into
 //     the same death/respawn path.
 //
-// Single-threaded like the router: the owning loop calls pump()
-// repeatedly; every management action advances inside pump.
+// One loop, single-threaded like the router: the Supervisor registers
+// every endpoint's read fd (and its write fd while output is queued) on
+// the caller's net::EventLoop, and every timed duty is a loop timer armed
+// for its actual deadline — respawn/redial backoff, the ping watchdog,
+// gossip, the fleet-stats deadline, the retire grace and the hedge
+// threshold. Callbacks route shard output through the router as it
+// arrives. The owner runs the loop and calls pump() after each pass:
+// pump() writes newly routed jobs and hands over the lines produced
+// since the previous call. It never waits.
 #pragma once
 
 #include <chrono>
@@ -56,6 +63,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/event_loop.hpp"
 #include "net/shard_endpoint.hpp"
 #include "service/shard_router.hpp"
 #include "util/thread_checker.hpp"
@@ -110,9 +118,12 @@ class Supervisor {
     std::uint64_t unresponsive_kills = 0;
   };
 
-  /// The router must outlive the supervisor. Slots are attached (or
-  /// grown) explicitly; router slot `s` pairs with endpoint slot `s`.
-  Supervisor(ShardRouter& router, SupervisorOptions options);
+  /// The router and the loop must outlive the supervisor, and the loop
+  /// must run on the thread that calls the supervisor. Slots are
+  /// attached (or grown) explicitly; router slot `s` pairs with endpoint
+  /// slot `s`.
+  Supervisor(ShardRouter& router, net::EventLoop& loop,
+             SupervisorOptions options);
   ~Supervisor();
 
   Supervisor(const Supervisor&) = delete;
@@ -125,10 +136,11 @@ class Supervisor {
   /// Throws std::runtime_error when the connection fails.
   void attach_remote(std::size_t slot, const std::string& host, int port);
 
-  /// One cycle: flush windows, poll, route lines, advance deaths /
-  /// respawns / retirements / warm handoffs / health probes. Returns
-  /// result lines to emit downstream, in order.
-  std::vector<std::string> pump(int poll_ms);
+  /// Call after each loop pass: fills every live shard's window from the
+  /// router, flushes what the transports accept (write interest covers
+  /// the rest), re-arms the hedge timer, and returns the lines to emit
+  /// downstream, in order. Never waits.
+  std::vector<std::string> pump();
 
   /// Fleet stats: broadcasts a {"cmd":"stats"} probe to every live shard
   /// and registers an aggregation keyed by `reply_id`. Once every probed
@@ -137,7 +149,7 @@ class Supervisor {
   /// downstream: router totals, supervisor counters, and a per-shard
   /// array with liveness, restart count, queue depth, inflight count,
   /// round-trip latency quantiles and the shard's own service snapshot
-  /// (null for shards that did not answer in time).
+  /// (null for shards that did not answer in time or died first).
   void request_fleet_stats(const std::string& reply_id);
 
   /// Live resharding: grow or shrink the LOCAL fleet so that
@@ -148,16 +160,10 @@ class Supervisor {
   std::size_t reshard(std::size_t target_locals);
 
   /// Graceful teardown: {"cmd":"shutdown"} + input EOF to every child,
-  /// pump until each exits (bounded), reap — no SIGKILL unless a child
-  /// overstays `grace_ms`. Lines harvested during teardown surface via
-  /// drain_deferred().
+  /// runs the loop until each closes its output or `grace_ms` passes,
+  /// reaps — no SIGKILL unless a child overstays. Lines harvested during
+  /// teardown come out of the next pump().
   void shutdown_fleet(int grace_ms = 5000);
-
-  /// Output produced outside pump() (reshard requeues, teardown tails);
-  /// pump() also drains this, so only call it after the last pump.
-  [[nodiscard]] std::vector<std::string> drain_deferred() {
-    return std::exchange(deferred_out_, {});
-  }
 
   /// Live local shards wanted (attached or respawning).
   [[nodiscard]] std::size_t desired_locals() const;
@@ -172,41 +178,66 @@ class Supervisor {
     std::unique_ptr<net::ShardEndpoint> endpoint;
     bool local = false;
     bool attached = false;   ///< slot was ever given an endpoint
-    bool want = true;        ///< desired fleet member (false once retired)
+    bool want = false;       ///< desired fleet member (false once retired)
     bool retiring = false;   ///< removed from ring, draining tail output
-    bool respawn_pending = false;
     int restarts = 0;
     /// Remote endpoint address, kept for redials (empty host = local).
     std::string host;
     int port = 0;
-    std::chrono::steady_clock::time_point respawn_at{};
     std::chrono::steady_clock::time_point spawned_at{};
-    std::chrono::steady_clock::time_point retire_deadline{};
+    int watched_read = -1;   ///< fds registered on the loop (-1: none)
+    int watched_write = -1;
+    std::uint64_t respawn_timer = 0;  ///< armed while a respawn is due
+    std::uint64_t retire_timer = 0;   ///< armed while retiring
     int missed_pongs = 0;
     bool ping_outstanding = false;
   };
 
   /// One outstanding request_fleet_stats aggregation.
   struct StatsProbe {
+    std::uint64_t serial = 0;
     std::string reply_id;
     std::set<std::size_t> waiting;               ///< shards not yet answered
     std::map<std::size_t, std::string> replies;  ///< shard -> service JSON
-    std::chrono::steady_clock::time_point deadline;
+    std::uint64_t deadline_timer = 0;
   };
 
   void ensure_slot(std::size_t slot);
-  /// Handles one observed endpoint death; appends orphan lines to out.
-  void on_death(std::size_t slot, std::vector<std::string>* out);
-  /// Spawns the replacement for a due slot; true on success.
-  bool try_respawn(std::size_t slot, std::vector<std::string>* out);
+  void attach(std::size_t slot, bool local, const std::string& host,
+              int port);
+  /// Gives slot `s` a fresh endpoint (fork/exec or dial) and watches it.
+  /// Throws when the spawn or the connection fails.
+  void spawn(std::size_t s);
+  /// Syncs slot `s`'s loop registrations with its endpoint: the read fd,
+  /// plus the write fd while output is queued.
+  void watch(std::size_t s);
+  void rewatch(std::size_t s, int& watched, int fd, std::uint32_t interest);
+  /// Loop callback for either of slot `s`'s fds.
+  void on_ready(std::size_t s, std::uint32_t ready);
+  /// Routes what slot `s` sent; handles its EOF.
+  void read_from(std::size_t s);
+  /// Writes what the transport accepts; half-closes a drained retiree.
+  void flush(std::size_t s);
+  /// Deregisters, reaps and drops slot `s`'s endpoint.
+  void release(std::size_t s);
+  /// Handles one observed endpoint death.
+  void on_death(std::size_t slot);
+  /// Arms slot `s`'s respawn after its backoff; returns the backoff (ms).
+  int arm_respawn(std::size_t s);
+  /// Spawns (or redials) the replacement for a due slot.
+  void try_respawn(std::size_t slot);
   /// Probes every live shard for its warm pool (handoff/gossip trigger).
   void request_warm_rebalance();
   /// Routes one shard's export to each entry's current replica set (the
   /// owner plus the next R-1 shards), skipping the donor itself.
   void forward_warm(std::size_t donor, const std::string& warm_json);
+  /// Runs `duty` every `period_ms` (never when <= 0) under `*timer`.
+  void every(int period_ms, std::uint64_t* timer, void (Supervisor::*duty)());
+  void arm_hedge();
   void send_health_pings();
-  /// Emits every complete (or expired) fleet-stats aggregation.
-  void advance_stats_probes(std::vector<std::string>* out);
+  void disarm(std::uint64_t& timer);
+  /// Emits every complete fleet-stats aggregation.
+  void advance_stats_probes();
   [[nodiscard]] std::string fleet_stats_line(const StatsProbe& probe) const;
 
   /// Same contract as ShardRouter: one loop owns this object; entry
@@ -214,12 +245,15 @@ class Supervisor {
   util::ThreadChecker thread_checker_{"Supervisor"};
 
   ShardRouter& router_;
+  net::EventLoop& loop_;
   SupervisorOptions options_;
   std::vector<Slot> slots_;
-  std::vector<std::string> deferred_out_;
+  std::vector<std::string> out_;  ///< lines for downstream, not yet handed over
   std::vector<StatsProbe> stats_probes_;
-  std::chrono::steady_clock::time_point last_ping_;
-  std::chrono::steady_clock::time_point last_gossip_;
+  std::uint64_t ping_timer_ = 0;
+  std::uint64_t gossip_timer_ = 0;
+  std::uint64_t hedge_timer_ = 0;
+  std::chrono::steady_clock::time_point hedge_at_{};
   std::uint64_t probe_counter_ = 0;
   Stats stats_;
 };

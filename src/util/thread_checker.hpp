@@ -1,6 +1,6 @@
 // ThreadChecker — runtime enforcement for "single-threaded by design".
 //
-// ShardRouter and Supervisor hold no mutexes on purpose: one pump loop
+// ShardRouter and Supervisor hold no mutexes on purpose: one event loop
 // owns them, so locking would only buy overhead. That contract used to be
 // a header comment; this makes it load-bearing. The owning class embeds a
 // ThreadChecker and calls assert_current_thread() at its entry points —

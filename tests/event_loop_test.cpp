@@ -5,10 +5,12 @@
 // portable poll fallback (force_poll) — so the fallback cannot rot.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,6 +200,46 @@ TEST_P(EventLoopTest, WakeupUnblocksRunFromAnotherThread) {
                 .count(),
             900)
       << "wakeup() must end the wait early";
+}
+
+TEST_P(EventLoopTest, RegularFileIsAlwaysReadyOnBothBackends) {
+  // What `saim_shard < jobs.jsonl` hands the loop: epoll refuses regular
+  // files (EPERM), poll(2) reports them ready. Both must dispatch.
+  char path[] = "/tmp/saim_event_loop_fileXXXXXX";
+  const int fd = ::mkstemp(path);
+  ASSERT_GE(fd, 0);
+  ::unlink(path);
+  ASSERT_EQ(::write(fd, "line\n", 5), 5);
+  ASSERT_EQ(::lseek(fd, 0, SEEK_SET), 0);
+
+  std::string got;
+  bool eof = false;
+  loop().add_fd(fd, EventLoop::kRead, [&](std::uint32_t ready) {
+    EXPECT_TRUE(ready & EventLoop::kRead);
+    char buf[16];
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n > 0) {
+      got.append(buf, static_cast<std::size_t>(n));
+    } else {
+      eof = true;
+      loop().set_interest(fd, 0);
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  for (int pass = 0; pass < 10 && !eof; ++pass) loop().run_once(1000);
+  EXPECT_EQ(got, "line\n");
+  EXPECT_TRUE(eof);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500))
+      << "a ready file must not wait out the poll timeout";
+
+  // Interest off: the file is no longer dispatched, and the pass waits.
+  int calls = 0;
+  loop().add_fd(fd, 0, [&](std::uint32_t) { ++calls; });
+  loop().run_once(10);
+  EXPECT_EQ(calls, 0);
+  loop().remove_fd(fd);
+  ::close(fd);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, EventLoopTest,

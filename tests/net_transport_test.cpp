@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "net/connection.hpp"
+#include "net/event_loop.hpp"
 #include "net/framing.hpp"
 #include "net/listener.hpp"
 #include "net/socket_child.hpp"
@@ -307,7 +308,8 @@ std::vector<std::string> route_through(
   fleet_options.respawn = false;
   fleet_options.reconnect_remotes = false;
   fleet_options.ping_ms = 0;
-  service::Supervisor fleet(router, std::move(fleet_options));
+  net::EventLoop loop;
+  service::Supervisor fleet(router, loop, std::move(fleet_options));
   for (std::size_t s = 0; s < shards; ++s) attach(fleet, s);
   std::vector<std::string> out;
   std::size_t line_no = 0;
@@ -317,7 +319,8 @@ std::vector<std::string> route_through(
     }
   }
   for (int spin = 0; spin < 20000 && !router.idle(); ++spin) {
-    for (auto& l : fleet.pump(2)) out.push_back(std::move(l));
+    loop.run_once(2);
+    for (auto& l : fleet.pump()) out.push_back(std::move(l));
     if (router.live_shards() == 0) break;
   }
   EXPECT_TRUE(router.idle());

@@ -1,14 +1,15 @@
 // Tests for the observability subsystem (ISSUE 7): histogram bucket
 // boundaries, quantile interpolation and snapshot merging; registry
 // get-or-create semantics and thread-safety (ASan/TSan-friendly: many
-// threads hammer the same names); Prometheus text rendering; and a real
-// scrape of the MetricsServer endpoint returning every registered
-// series.
+// threads hammer the same names); Prometheus text rendering; and real
+// scrapes of the MetricsServer endpoint: every registered series comes
+// back, and a silent client holds up no other scrape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "net/connection.hpp"
+#include "net/event_loop.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_server.hpp"
 
@@ -231,14 +233,31 @@ std::string http_get(int port) {
   return response;
 }
 
+/// A MetricsServer on its own loop thread, as saim_serve runs it.
+struct ServedMetrics {
+  net::EventLoop loop;
+  MetricsServer server;
+  std::thread thread;
+
+  explicit ServedMetrics(std::function<std::string()> producer)
+      : server(loop, "127.0.0.1", 0, std::move(producer)),
+        thread([this] { loop.run(); }) {}
+  ServedMetrics(const ServedMetrics&) = delete;
+  ServedMetrics& operator=(const ServedMetrics&) = delete;
+  ~ServedMetrics() {
+    loop.stop();
+    thread.join();
+  }
+  [[nodiscard]] int port() const { return server.port(); }
+};
+
 TEST(MetricsServer, ScrapeReturnsEveryRegisteredSeries) {
   MetricsRegistry registry;
   registry.counter("saim_jobs_total", "jobs").add(42);
   registry.gauge("saim_inflight", "inflight").set(1.0);
   registry.histogram("saim_latency_ms", "latency").observe(3.5);
 
-  MetricsServer server("127.0.0.1", 0,
-                       [&registry] { return registry.render_prometheus(); });
+  ServedMetrics server([&registry] { return registry.render_prometheus(); });
   ASSERT_GT(server.port(), 0);
 
   const std::string response = http_get(server.port());
@@ -255,16 +274,41 @@ TEST(MetricsServer, ScrapeReturnsEveryRegisteredSeries) {
   registry.counter("saim_jobs_total").add(1);
   EXPECT_NE(http_get(server.port()).find("saim_jobs_total 43"),
             std::string::npos);
-  server.stop();
 }
 
 TEST(MetricsServer, ProducerFailureIsA500NotACrash) {
-  MetricsServer server("127.0.0.1", 0, []() -> std::string {
+  ServedMetrics server([]() -> std::string {
     throw std::runtime_error("boom");
   });
   const std::string response = http_get(server.port());
   EXPECT_NE(response.find("500"), std::string::npos) << response;
   EXPECT_NE(response.find("metrics producer failed"), std::string::npos);
+}
+
+TEST(MetricsServer, StalledScraperDoesNotHoldUpTheNextOne) {
+  ServedMetrics server([] { return std::string("saim_up 1\n"); });
+  // The first client connects and never sends its request head.
+  net::Connection silent = net::connect_to("127.0.0.1", server.port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = http_get(server.port());
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_NE(response.find("saim_up 1"), std::string::npos) << response;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(300))
+      << "the second scrape queued behind the silent client";
+
+  // The silent client is still bounded: after its 1 s it is answered
+  // with whatever it sent (nothing) and closed.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::string late;
+  while (!silent.eof() && std::chrono::steady_clock::now() < deadline) {
+    for (const auto& line : silent.read_lines()) late += line + "\n";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(silent.eof());
+  EXPECT_NE(late.find("200 OK"), std::string::npos) << late;
 }
 
 }  // namespace

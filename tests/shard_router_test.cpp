@@ -23,6 +23,7 @@
 #include <tuple>
 #include <vector>
 
+#include "net/event_loop.hpp"
 #include "service/process_child.hpp"
 #include "service/shard_router.hpp"
 #include "service/supervisor.hpp"
@@ -606,26 +607,35 @@ const char* serve_bin() {
 /// One saim_serve child per router slot under the Supervisor pump the
 /// tool ships, self-healing off: a dead shard stays dead, so failover
 /// alone must keep every job.
-std::unique_ptr<Supervisor> spawn_fleet(ShardRouter& router) {
+std::unique_ptr<Supervisor> spawn_fleet(ShardRouter& router,
+                                        net::EventLoop& loop) {
   SupervisorOptions options;
   options.local_argv = {serve_bin(), "--stream", "--workers", "1",
                         "--cache", "0"};
   options.respawn = false;
   options.reconnect_remotes = false;
   options.ping_ms = 0;
-  auto fleet = std::make_unique<Supervisor>(router, std::move(options));
+  auto fleet =
+      std::make_unique<Supervisor>(router, loop, std::move(options));
   for (std::size_t s = 0; s < router.shard_slots(); ++s) {
     fleet->attach_local(s);
   }
   return fleet;
 }
 
+/// One pass of the fleet's loop (bounded at 2 ms), then the pump.
+std::vector<std::string> turn(net::EventLoop& loop, Supervisor& fleet) {
+  loop.run_once(2);
+  return fleet.pump();
+}
+
 /// Pumps until the router is idle or ~20s pass; returns emitted lines.
-std::vector<std::string> pump_to_idle(ShardRouter& router,
+std::vector<std::string> pump_to_idle(net::EventLoop& loop,
+                                      ShardRouter& router,
                                       Supervisor& fleet) {
   std::vector<std::string> out;
   for (int spin = 0; spin < 10000 && !router.idle(); ++spin) {
-    for (auto& l : fleet.pump(2)) out.push_back(std::move(l));
+    for (auto& l : turn(loop, fleet)) out.push_back(std::move(l));
   }
   return out;
 }
@@ -633,7 +643,8 @@ std::vector<std::string> pump_to_idle(ShardRouter& router,
 TEST(ShardFleet, MatchesAcceptedJobContractEndToEnd) {
   if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
   ShardRouter router(two_shards());
-  auto fleet = spawn_fleet(router);
+  net::EventLoop loop;
+  auto fleet = spawn_fleet(router, loop);
   std::size_t line_no = 0;
   std::vector<std::string> out;
   for (int k = 1; k <= 3; ++k) {
@@ -652,7 +663,9 @@ TEST(ShardFleet, MatchesAcceptedJobContractEndToEnd) {
   for (auto& l : router.accept_line(R"({"id":"bad","gen":"zzz"})", ++line_no)) {
     out.push_back(std::move(l));
   }
-  for (auto& l : pump_to_idle(router, *fleet)) out.push_back(std::move(l));
+  for (auto& l : pump_to_idle(loop, router, *fleet)) {
+    out.push_back(std::move(l));
+  }
 
   ASSERT_EQ(out.size(), 7u);
   std::set<std::string> ids;
@@ -675,7 +688,8 @@ TEST(ShardFleet, MatchesAcceptedJobContractEndToEnd) {
 TEST(ShardFleet, SurvivesChildKilledMidStreamWithZeroLostJobs) {
   if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
   ShardRouter router(two_shards(/*window=*/4));
-  auto fleet = spawn_fleet(router);
+  net::EventLoop loop;
+  auto fleet = spawn_fleet(router, loop);
   // Enough distinct instances that both shards own several jobs, with
   // budgets big enough that the victim cannot finish before the kill.
   std::size_t line_no = 0;
@@ -697,7 +711,7 @@ TEST(ShardFleet, SurvivesChildKilledMidStreamWithZeroLostJobs) {
   // already emitted), then kill whichever shard has more unanswered jobs
   // — in flight and all.
   for (int spin = 0; spin < 5000 && out.size() < 2; ++spin) {
-    for (auto& l : fleet->pump(2)) out.push_back(std::move(l));
+    for (auto& l : turn(loop, *fleet)) out.push_back(std::move(l));
   }
   ASSERT_GE(out.size(), 2u);
   const std::size_t victim =
@@ -708,7 +722,11 @@ TEST(ShardFleet, SurvivesChildKilledMidStreamWithZeroLostJobs) {
   ASSERT_GT(router.inflight(victim) + router.pending(victim), 0u);
   fleet->endpoint(victim)->terminate();  // SIGKILL via the endpoint
 
-  for (auto& l : pump_to_idle(router, *fleet)) out.push_back(std::move(l));
+  for (auto& l : pump_to_idle(loop, router, *fleet)) {
+
+    out.push_back(std::move(l));
+
+  }
 
   // Exactly one line per accepted job, global seq contiguous, no errors.
   ASSERT_EQ(out.size(), 12u);

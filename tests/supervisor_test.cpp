@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/event_loop.hpp"
 #include "net/socket_child.hpp"
 #include "problems/fingerprint.hpp"
 #include "problems/qkp.hpp"
@@ -168,13 +169,21 @@ SupervisorOptions fast_supervisor_options() {
   return options;
 }
 
+/// One pass of the fleet's loop, bounded at 2 ms so every spin loop here
+/// has a time bound, then the pump that writes routed jobs and hands
+/// over what the pass produced.
+std::vector<std::string> turn(net::EventLoop& loop, Supervisor& supervisor) {
+  loop.run_once(2);
+  return supervisor.pump();
+}
+
 /// Pumps until the router is idle (plus `extra` holds) or ~40s pass.
 std::vector<std::string> pump_to_idle(
-    ShardRouter& router, Supervisor& supervisor,
+    net::EventLoop& loop, ShardRouter& router, Supervisor& supervisor,
     const std::function<bool()>& extra = [] { return true; }) {
   std::vector<std::string> out;
   for (int spin = 0; spin < 20000 && !(router.idle() && extra()); ++spin) {
-    for (auto& l : supervisor.pump(2)) out.push_back(std::move(l));
+    for (auto& l : turn(loop, supervisor)) out.push_back(std::move(l));
   }
   return out;
 }
@@ -220,7 +229,8 @@ TEST(SupervisorFleet, RespawnsSigkilledShardWhichRejoinsTheRing) {
   router_options.shards = 2;
   router_options.window = 4;
   ShardRouter router(router_options);
-  Supervisor supervisor(router, fast_supervisor_options());
+  net::EventLoop loop;
+  Supervisor supervisor(router, loop, fast_supervisor_options());
   supervisor.attach_local(0);
   supervisor.attach_local(1);
 
@@ -232,7 +242,7 @@ TEST(SupervisorFleet, RespawnsSigkilledShardWhichRejoinsTheRing) {
 
   // Mid-stream: at least two results out, victim still has work.
   for (int spin = 0; spin < 10000 && out.size() < 2; ++spin) {
-    for (auto& l : supervisor.pump(2)) out.push_back(std::move(l));
+    for (auto& l : turn(loop, supervisor)) out.push_back(std::move(l));
   }
   ASSERT_GE(out.size(), 2u);
   const std::size_t victim =
@@ -243,7 +253,7 @@ TEST(SupervisorFleet, RespawnsSigkilledShardWhichRejoinsTheRing) {
   ASSERT_GT(router.inflight(victim) + router.pending(victim), 0u);
   supervisor.endpoint(victim)->terminate();  // SIGKILL
 
-  for (auto& l : pump_to_idle(router, supervisor,
+  for (auto& l : pump_to_idle(loop, router, supervisor,
                               [&] { return router.live_shards() == 2; })) {
     out.push_back(std::move(l));
   }
@@ -295,7 +305,8 @@ TEST(SupervisorFleet, RemoteShardIsRedialedAfterItsServerRestarts) {
   router_options.shards = 2;
   router_options.window = 4;
   ShardRouter router(router_options);
-  Supervisor supervisor(router, fast_supervisor_options());
+  net::EventLoop loop;
+  Supervisor supervisor(router, loop, fast_supervisor_options());
   supervisor.attach_local(0);
   supervisor.attach_remote(1, "127.0.0.1", remote.port);
   ASSERT_FALSE(supervisor.is_local(1));
@@ -309,7 +320,7 @@ TEST(SupervisorFleet, RemoteShardIsRedialedAfterItsServerRestarts) {
   // Mid-stream, with results flowing, the remote server dies — taking
   // the TCP session down with it ...
   for (int spin = 0; spin < 10000 && out.size() < 2; ++spin) {
-    for (auto& l : supervisor.pump(2)) out.push_back(std::move(l));
+    for (auto& l : turn(loop, supervisor)) out.push_back(std::move(l));
   }
   ASSERT_GE(out.size(), 2u);
   remote.process->terminate();
@@ -326,7 +337,7 @@ TEST(SupervisorFleet, RemoteShardIsRedialedAfterItsServerRestarts) {
   auto replacement = spawn_listen_serve(remote.port, "reconnect_b");
   ASSERT_EQ(replacement.port, remote.port);
 
-  for (auto& l : pump_to_idle(router, supervisor,
+  for (auto& l : pump_to_idle(loop, router, supervisor,
                               [&] { return router.live_shards() == 2; })) {
     out.push_back(std::move(l));
   }
@@ -350,7 +361,8 @@ TEST(SupervisorFleet, SoleShardCrashHoldsJobsInsteadOfOrphaning) {
   router_options.shards = 1;
   router_options.window = 4;
   ShardRouter router(router_options);
-  Supervisor supervisor(router, fast_supervisor_options());
+  net::EventLoop loop;
+  Supervisor supervisor(router, loop, fast_supervisor_options());
   supervisor.attach_local(0);
 
   std::vector<std::string> out;
@@ -358,12 +370,16 @@ TEST(SupervisorFleet, SoleShardCrashHoldsJobsInsteadOfOrphaning) {
   feed_jobs(router, &out, &line_no, 1, 3, 25, 300);
 
   for (int spin = 0; spin < 10000 && out.empty(); ++spin) {
-    for (auto& l : supervisor.pump(2)) out.push_back(std::move(l));
+    for (auto& l : turn(loop, supervisor)) out.push_back(std::move(l));
   }
   ASSERT_GT(router.outstanding(), 0u);
   supervisor.endpoint(0)->terminate();
 
-  for (auto& l : pump_to_idle(router, supervisor)) out.push_back(std::move(l));
+  for (auto& l : pump_to_idle(loop, router, supervisor)) {
+
+    out.push_back(std::move(l));
+
+  }
 
   // With nowhere to fail over, PR 4 would have orphaned every unanswered
   // job; the supervisor instead held them and replayed into the
@@ -382,7 +398,8 @@ TEST(SupervisorFleet, Reshard2To4To1UnderLoadLosesNothing) {
   router_options.shards = 2;
   router_options.window = 4;
   ShardRouter router(router_options);
-  Supervisor supervisor(router, fast_supervisor_options());
+  net::EventLoop loop;
+  Supervisor supervisor(router, loop, fast_supervisor_options());
   supervisor.attach_local(0);
   supervisor.attach_local(1);
 
@@ -392,19 +409,23 @@ TEST(SupervisorFleet, Reshard2To4To1UnderLoadLosesNothing) {
 
   // Grow to 4 with the first wave still in flight.
   for (int spin = 0; spin < 200; ++spin) {
-    for (auto& l : supervisor.pump(2)) out.push_back(std::move(l));
+    for (auto& l : turn(loop, supervisor)) out.push_back(std::move(l));
   }
   EXPECT_EQ(supervisor.reshard(4), 4u);
   feed_jobs(router, &out, &line_no, 5, 8, 20, 200);
 
   // Shrink to 1 with the second wave still in flight.
   for (int spin = 0; spin < 200; ++spin) {
-    for (auto& l : supervisor.pump(2)) out.push_back(std::move(l));
+    for (auto& l : turn(loop, supervisor)) out.push_back(std::move(l));
   }
   EXPECT_EQ(supervisor.reshard(1), 1u);
   feed_jobs(router, &out, &line_no, 9, 10, 20, 200);
 
-  for (auto& l : pump_to_idle(router, supervisor)) out.push_back(std::move(l));
+  for (auto& l : pump_to_idle(loop, router, supervisor)) {
+
+    out.push_back(std::move(l));
+
+  }
 
   expect_exactly_once(out, 20);
   EXPECT_EQ(router.stats().orphaned, 0u);
@@ -420,7 +441,8 @@ TEST(SupervisorFleet, WarmHandoffSeedsTheNewOwnerOnGrow) {
   RouterOptions router_options;
   router_options.shards = 1;
   ShardRouter router(router_options);
-  Supervisor supervisor(router, fast_supervisor_options());
+  net::EventLoop loop;
+  Supervisor supervisor(router, loop, fast_supervisor_options());
   supervisor.attach_local(0);
 
   // Cold wave over many instances: shard 0's warm pool fills with the
@@ -435,7 +457,9 @@ TEST(SupervisorFleet, WarmHandoffSeedsTheNewOwnerOnGrow) {
     ASSERT_TRUE(out.empty());
   }
   std::vector<std::string> cold;
-  for (auto& l : pump_to_idle(router, supervisor)) cold.push_back(std::move(l));
+  for (auto& l : pump_to_idle(loop, router, supervisor)) {
+    cold.push_back(std::move(l));
+  }
   ASSERT_EQ(cold.size(), 12u);
   std::set<int> feasible;
   for (const auto& line : cold) {
@@ -467,7 +491,7 @@ TEST(SupervisorFleet, WarmHandoffSeedsTheNewOwnerOnGrow) {
   // Let the export -> forward -> import round trip complete.
   for (int spin = 0;
        spin < 20000 && supervisor.stats().warm_forwarded == 0; ++spin) {
-    (void)supervisor.pump(2);
+    (void)turn(loop, supervisor);
   }
   ASSERT_GT(supervisor.stats().warm_forwarded, 0u)
       << "the donor's pool entries never reached the new owner";
@@ -483,7 +507,7 @@ TEST(SupervisorFleet, WarmHandoffSeedsTheNewOwnerOnGrow) {
       ++line_no);
   ASSERT_TRUE(out.empty());
   std::vector<std::string> warm_out;
-  for (auto& l : pump_to_idle(router, supervisor)) {
+  for (auto& l : pump_to_idle(loop, router, supervisor)) {
     warm_out.push_back(std::move(l));
   }
   ASSERT_EQ(warm_out.size(), 1u);
@@ -510,7 +534,8 @@ TEST(SupervisorFleet, ChaosSigkillWithReplicationCompletesWithZeroStall) {
   SupervisorOptions supervisor_options = fast_supervisor_options();
   supervisor_options.backoff_initial_ms = 60000;
   supervisor_options.backoff_max_ms = 60000;
-  Supervisor supervisor(router, supervisor_options);
+  net::EventLoop loop;
+  Supervisor supervisor(router, loop, supervisor_options);
   supervisor.attach_local(0);
   supervisor.attach_local(1);
 
@@ -521,7 +546,7 @@ TEST(SupervisorFleet, ChaosSigkillWithReplicationCompletesWithZeroStall) {
   ASSERT_GT(router.pending(1), 0u);
 
   for (int spin = 0; spin < 10000 && out.size() < 2; ++spin) {
-    for (auto& l : supervisor.pump(2)) out.push_back(std::move(l));
+    for (auto& l : turn(loop, supervisor)) out.push_back(std::move(l));
   }
   ASSERT_GE(out.size(), 2u);
   const std::size_t victim =
@@ -532,7 +557,11 @@ TEST(SupervisorFleet, ChaosSigkillWithReplicationCompletesWithZeroStall) {
   ASSERT_GT(router.inflight(victim) + router.pending(victim), 0u);
   supervisor.endpoint(victim)->terminate();  // SIGKILL
 
-  for (auto& l : pump_to_idle(router, supervisor)) out.push_back(std::move(l));
+  for (auto& l : pump_to_idle(loop, router, supervisor)) {
+
+    out.push_back(std::move(l));
+
+  }
 
   expect_exactly_once(out, 12);
   EXPECT_EQ(supervisor.stats().respawns, 0u)
@@ -560,7 +589,8 @@ TEST(SupervisorFleet, GossipWarmsReplicasWithoutAnyMembershipChange) {
   supervisor_options.gossip_ms = 5;
   supervisor_options.backoff_initial_ms = 60000;
   supervisor_options.backoff_max_ms = 60000;
-  Supervisor supervisor(router, supervisor_options);
+  net::EventLoop loop;
+  Supervisor supervisor(router, loop, supervisor_options);
   supervisor.attach_local(0);
   supervisor.attach_local(1);
 
@@ -578,7 +608,9 @@ TEST(SupervisorFleet, GossipWarmsReplicasWithoutAnyMembershipChange) {
                     .empty());
   }
   std::vector<std::string> cold;
-  for (auto& l : pump_to_idle(router, supervisor)) cold.push_back(std::move(l));
+  for (auto& l : pump_to_idle(loop, router, supervisor)) {
+    cold.push_back(std::move(l));
+  }
   ASSERT_EQ(cold.size(), 12u);
   std::set<int> feasible;
   for (const auto& line : cold) {
@@ -592,7 +624,7 @@ TEST(SupervisorFleet, GossipWarmsReplicasWithoutAnyMembershipChange) {
   // Idle gossip rounds replicate the pools across the fleet.
   for (int spin = 0;
        spin < 20000 && supervisor.stats().warm_forwarded == 0; ++spin) {
-    (void)supervisor.pump(2);
+    (void)turn(loop, supervisor);
   }
   ASSERT_GT(supervisor.stats().warm_forwarded, 0u)
       << "gossip never moved a pool entry";
@@ -608,7 +640,7 @@ TEST(SupervisorFleet, GossipWarmsReplicasWithoutAnyMembershipChange) {
       router.owner_of(problems::fingerprint(*request.problem));
   supervisor.endpoint(owner)->terminate();
   for (int spin = 0; spin < 20000 && router.live_shards() == 2; ++spin) {
-    (void)supervisor.pump(2);
+    (void)turn(loop, supervisor);
   }
   ASSERT_EQ(router.live_shards(), 1u);
 
@@ -620,7 +652,7 @@ TEST(SupervisorFleet, GossipWarmsReplicasWithoutAnyMembershipChange) {
                                ++line_no)
                   .empty());
   std::vector<std::string> warm_out;
-  for (auto& l : pump_to_idle(router, supervisor)) {
+  for (auto& l : pump_to_idle(loop, router, supervisor)) {
     warm_out.push_back(std::move(l));
   }
   ASSERT_EQ(warm_out.size(), 1u);
@@ -636,7 +668,8 @@ TEST(SupervisorFleet, GracefulShutdownReapsEveryChild) {
   RouterOptions router_options;
   router_options.shards = 2;
   ShardRouter router(router_options);
-  Supervisor supervisor(router, fast_supervisor_options());
+  net::EventLoop loop;
+  Supervisor supervisor(router, loop, fast_supervisor_options());
   supervisor.attach_local(0);
   supervisor.attach_local(1);
 
@@ -645,7 +678,9 @@ TEST(SupervisorFleet, GracefulShutdownReapsEveryChild) {
   for (auto& l : router.accept_line(job_line("a", 1, 1), ++line_no)) {
     out.push_back(std::move(l));
   }
-  for (auto& l : pump_to_idle(router, supervisor)) out.push_back(std::move(l));
+  for (auto& l : pump_to_idle(loop, router, supervisor)) {
+    out.push_back(std::move(l));
+  }
   ASSERT_EQ(out.size(), 1u);
 
   std::vector<pid_t> pids;
@@ -736,7 +771,8 @@ TEST(SupervisorFleet, FleetStatsAggregatesEveryShardSnapshot) {
   RouterOptions router_options;
   router_options.shards = 2;
   ShardRouter router(router_options);
-  Supervisor supervisor(router, fast_supervisor_options());
+  net::EventLoop loop;
+  Supervisor supervisor(router, loop, fast_supervisor_options());
   supervisor.attach_local(0);
   supervisor.attach_local(1);
 
@@ -745,13 +781,15 @@ TEST(SupervisorFleet, FleetStatsAggregatesEveryShardSnapshot) {
   std::vector<std::string> out;
   std::size_t line_no = 0;
   feed_jobs(router, &out, &line_no, 1, 6, 2, 30);
-  for (auto& l : pump_to_idle(router, supervisor)) out.push_back(std::move(l));
+  for (auto& l : pump_to_idle(loop, router, supervisor)) {
+    out.push_back(std::move(l));
+  }
   expect_exactly_once(out, 12);
 
   supervisor.request_fleet_stats("fs1");
   std::string fleet_line;
   for (int spin = 0; spin < 20000 && fleet_line.empty(); ++spin) {
-    for (auto& l : supervisor.pump(2)) {
+    for (auto& l : turn(loop, supervisor)) {
       if (l.find("\"fleet\"") != std::string::npos) fleet_line = std::move(l);
     }
   }
@@ -810,6 +848,49 @@ TEST(SupervisorFleet, FleetStatsAggregatesEveryShardSnapshot) {
   EXPECT_EQ(latency_total, 12u)
       << "every answered job must land in some shard's latency histogram";
 
+  supervisor.shutdown_fleet();
+}
+
+TEST(SupervisorFleet, FleetStatsDoNotWaitOnAShardThatDied) {
+  if (!serve_bin()) GTEST_SKIP() << "saim_serve not built";
+  RouterOptions router_options;
+  router_options.shards = 2;
+  ShardRouter router(router_options);
+  SupervisorOptions supervisor_options = fast_supervisor_options();
+  supervisor_options.respawn = false;  // the dead slot stays dead
+  net::EventLoop loop;
+  Supervisor supervisor(router, loop, supervisor_options);
+  supervisor.attach_local(0);
+  supervisor.attach_local(1);
+
+  // Shard 1 is stopped, so it cannot answer the probe, and SIGKILLed
+  // right after the probe went out.
+  auto* victim = dynamic_cast<ProcessChild*>(supervisor.endpoint(1));
+  ASSERT_NE(victim, nullptr);
+  ASSERT_EQ(::kill(victim->pid(), SIGSTOP), 0);
+  const auto start = std::chrono::steady_clock::now();
+  supervisor.request_fleet_stats("fs");
+  victim->terminate();
+
+  std::string fleet_line;
+  while (fleet_line.empty() &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(5)) {
+    for (auto& l : turn(loop, supervisor)) {
+      if (l.find("\"fleet\"") != std::string::npos) fleet_line = std::move(l);
+    }
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(fleet_line.empty()) << "no fleet snapshot at all";
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000))
+      << "the probe waited out its 2 s deadline on a dead shard";
+
+  const auto v = util::parse_json(fleet_line);
+  const auto& shards = v.find("fleet")->find("shards")->array();
+  ASSERT_EQ(shards.size(), 2u);
+  EXPECT_FALSE(shards[0].find("service")->is_null())
+      << "the live shard's snapshot must be in the reply";
+  EXPECT_FALSE(shards[1].find("alive")->as_bool());
+  EXPECT_TRUE(shards[1].find("service")->is_null());
   supervisor.shutdown_fleet();
 }
 

@@ -55,8 +55,10 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "net/connection.hpp"
+#include "net/event_loop.hpp"
 #include "obs/metrics_server.hpp"
 #include "service/event_server.hpp"
 #include "service/service_stats.hpp"
@@ -77,6 +79,23 @@ struct ListenConfig {
   std::size_t max_connections = 1024;
   int auth_timeout_ms = 10'000;
   int idle_timeout_ms = 0;
+};
+
+/// --metrics: the scrape endpoint on a loop of its own, run by the one
+/// thread this process spends on metrics. Stops and joins on scope exit.
+struct MetricsThread {
+  net::EventLoop loop;
+  std::unique_ptr<obs::MetricsServer> server;
+  std::thread thread;
+
+  MetricsThread() = default;
+  MetricsThread(const MetricsThread&) = delete;
+  MetricsThread& operator=(const MetricsThread&) = delete;
+  ~MetricsThread() {
+    if (!thread.joinable()) return;
+    loop.stop();
+    thread.join();
+  }
 };
 
 /// The port file is the rendezvous for port 0 (ephemeral): written
@@ -200,10 +219,10 @@ int main(int argc, char** argv) {
       std::max<std::int64_t>(1, args.get_int("max-batch")));
   service::SolveService svc(service_options);
 
-  // --metrics: a scrape thread rendering straight off the service — its
-  // stats struct and metrics registry are atomic, so the producer is safe
-  // to run concurrently with every session thread.
-  std::unique_ptr<obs::MetricsServer> metrics_server;
+  // --metrics: scrapes render straight off the service on the metrics
+  // thread — its stats struct and metrics registry are atomic, so the
+  // producer is safe to run concurrently with every session.
+  MetricsThread metrics;
   const std::string metrics_spec = args.get("metrics");
   if (!metrics_spec.empty()) {
     const auto hostport = net::parse_hostport(metrics_spec);
@@ -213,8 +232,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     try {
-      metrics_server = std::make_unique<obs::MetricsServer>(
-          hostport->host, hostport->port,
+      metrics.server = std::make_unique<obs::MetricsServer>(
+          metrics.loop, hostport->host, hostport->port,
           [&svc] { return service::service_metrics_prometheus(svc); });
     } catch (const std::exception& e) {
       util::log_error() << "saim_serve: " << e.what();
@@ -228,10 +247,11 @@ int main(int argc, char** argv) {
                           << "'";
         return 2;
       }
-      pf << metrics_server->port() << "\n";
+      pf << metrics.server->port() << "\n";
     }
     util::log_info() << "saim_serve: metrics on " << hostport->host << ":"
-                     << metrics_server->port();
+                     << metrics.server->port();
+    metrics.thread = std::thread([&metrics] { metrics.loop.run(); });
   }
 
   service::SessionOptions session_options;

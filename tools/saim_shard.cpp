@@ -14,6 +14,14 @@
 // crash respawn with backoff, ring rejoin, live resharding, warm-pool
 // handoff, health probes — is service/supervisor.
 //
+// One thread, one net::EventLoop: stdin, every shard endpoint, the
+// supervisor's timers and the --metrics listener all sit on the same
+// loop, so a job line wakes the loop the moment it arrives and a shard
+// reply the moment it is written. Stdin backpressure is read interest:
+// past the high-water mark of routed-but-unsent jobs the loop stops
+// reading input until the shards catch up. Stdout stays a blocking
+// write.
+//
 // Semantics (inherited from router + supervisor):
 //   * results stream in global completion order, each accepted job tagged
 //     with a global "seq" (per-shard seqs are remapped; rejected lines
@@ -50,11 +58,12 @@
 //
 // Exit status mirrors saim_serve: 0 all jobs ok, 1 any error line, 2 bad
 // invocation.
-#include <sys/wait.h>
+#include <fcntl.h>
+#include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
+#include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -63,12 +72,11 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "net/connection.hpp"
+#include "net/event_loop.hpp"
+#include "net/framing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_server.hpp"
 #include "service/job_parser.hpp"
@@ -77,34 +85,18 @@
 #include "util/cli.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace {
 
 using namespace saim;
 
 volatile std::sig_atomic_t g_signal = 0;
+std::atomic<net::EventLoop*> g_loop{nullptr};
 
-void on_signal(int) { g_signal = 1; }
-
-/// The latest pre-rendered Prometheus payload, published by the main loop
-/// every ~250 ms and served by the MetricsServer scrape thread. A named
-/// struct (not locals) so the shared string carries a thread-safety
-/// annotation — attributes cannot attach to function-local variables.
-struct MetricsPublisher {
-  util::Mutex mutex;
-  std::string payload SAIM_GUARDED_BY(mutex);
-};
-
-/// Raw input lines, moved from the reader thread to the main pump loop
-/// with a bounded buffer (the reader blocks on `cv` when full).
-struct LineIntake {
-  util::Mutex mutex;
-  std::condition_variable cv;  ///< reader waits here for buffer room
-  std::deque<std::string> lines SAIM_GUARDED_BY(mutex);
-  bool input_done SAIM_GUARDED_BY(mutex) = false;
-};
+void on_signal(int) {
+  g_signal = 1;
+  if (net::EventLoop* loop = g_loop.load()) loop->wakeup();  // one write(2)
+}
 
 /// saim_serve is expected to sit next to saim_shard unless --serve says
 /// otherwise.
@@ -143,9 +135,8 @@ std::string shard_label(std::size_t s) {
   return "shard=\"" + std::to_string(s) + "\"";
 }
 
-/// Prometheus exposition of the router/supervisor state. Runs on the MAIN
-/// thread only (both owners are single-threaded); the MetricsServer thread
-/// serves the latest pre-rendered copy published under a mutex.
+/// Prometheus exposition of the router/supervisor state, rendered on the
+/// loop thread that owns both when a scrape asks for it.
 std::string render_fleet_metrics(const service::ShardRouter& router,
                                  const service::Supervisor& supervisor) {
   obs::PromText text;
@@ -358,16 +349,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::ifstream file_in;
+  int in_fd = STDIN_FILENO;
   const std::string input = args.get("input");
   if (input != "-") {
-    file_in.open(input);
-    if (!file_in) {
+    in_fd = ::open(input.c_str(), O_RDONLY | O_CLOEXEC);
+    if (in_fd < 0) {
       util::log_error() << "saim_shard: cannot open '" << input << "'";
       return 2;
     }
   }
-  std::istream& in = input == "-" ? std::cin : file_in;
 
   std::ofstream file_out;
   const std::string output = args.get("output");
@@ -381,7 +371,8 @@ int main(int argc, char** argv) {
   std::ostream& out = output == "-" ? std::cout : file_out;
 
   // The fleet: router (routing state) + supervisor (endpoints, respawn,
-  // resharding, warm handoff, health).
+  // resharding, warm handoff, health), both driven by the one loop.
+  net::EventLoop loop;
   service::ShardRouter router(router_options);
   service::SupervisorOptions supervisor_options;
   supervisor_options.local_argv = {
@@ -400,7 +391,7 @@ int main(int argc, char** argv) {
   supervisor_options.ping_ms = static_cast<int>(nonneg("ping-ms"));
   supervisor_options.gossip_ms = static_cast<int>(nonneg("gossip-ms"));
   supervisor_options.remote_auth_token = args.get("auth-token");
-  service::Supervisor supervisor(router, supervisor_options);
+  service::Supervisor supervisor(router, loop, supervisor_options);
   for (std::size_t s = 0; s < locals; ++s) supervisor.attach_local(s);
   for (std::size_t i = 0; i < remotes.size(); ++i) {
     try {
@@ -411,15 +402,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --metrics: one background scrape thread serving the latest
-  // pre-rendered exposition. The router and supervisor are single-threaded
-  // (owned by this loop), so the server never reads them directly — the
-  // loop republishes the payload under the mutex every ~250 ms.
-  MetricsPublisher metrics_pub;
-  {
-    util::MutexLock lock(metrics_pub.mutex);
-    metrics_pub.payload = render_fleet_metrics(router, supervisor);
-  }
+  // --metrics: scrapes are served on the loop and render straight off
+  // the router and supervisor, between passes.
   std::unique_ptr<obs::MetricsServer> metrics_server;
   const std::string metrics_spec = args.get("metrics");
   if (!metrics_spec.empty()) {
@@ -431,9 +415,8 @@ int main(int argc, char** argv) {
     }
     try {
       metrics_server = std::make_unique<obs::MetricsServer>(
-          hostport->host, hostport->port, [&metrics_pub] {
-            util::MutexLock lock(metrics_pub.mutex);
-            return metrics_pub.payload;
+          loop, hostport->host, hostport->port, [&router, &supervisor] {
+            return render_fleet_metrics(router, supervisor);
           });
     } catch (const std::exception& e) {
       util::log_error() << "saim_shard: " << e.what();
@@ -456,41 +439,45 @@ int main(int argc, char** argv) {
   // Ctrl-C / SIGTERM turn into a graceful shutdown: stop intake, drain
   // every accepted job, tear the fleet down, then exit. (Children sit in
   // their own process groups, so the terminal's SIGINT does not reach
-  // them directly — the front door stays in charge of the drain.)
+  // them directly — the front door stays in charge of the drain.) The
+  // handler wakes the loop, so a signal is seen at once even when no
+  // timer is armed.
+  g_loop = &loop;
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  // Memory backstops. The routed-jobs side: stop parsing/routing when
-  // this many jobs wait for a window slot. The raw-lines side: the reader
-  // thread blocks once this many unconsumed lines are buffered, so a fast
-  // producer cannot balloon RSS with the whole stream.
-  // With admission control on, the router's shed bound must engage before
-  // the intake gate stalls parsing, or no job would ever be shed.
+  // Stdin backpressure: stop reading input while this many routed jobs
+  // wait for a window slot, so a fast producer cannot balloon RSS with
+  // the whole stream. With admission control on, the router's shed bound
+  // must engage before the intake gate stalls parsing, or no job would
+  // ever be shed.
   std::size_t high_water = router_options.shards *
                            router_options.window * 4;
   if (router_options.max_queue_depth > 0) {
     high_water = std::max(high_water, router_options.max_queue_depth + 1);
   }
-  const std::size_t line_buffer_cap = std::max<std::size_t>(high_water * 4,
-                                                            4096);
 
-  // Input on its own thread so a slow producer never stalls the pumps
-  // (same pattern as saim_serve's emitter, mirrored to the read side).
-  LineIntake intake;
-  std::thread reader([&] {
-    std::string line;
-    while (std::getline(in, line)) {
-      util::MutexLock lock(intake.mutex);
-      while (intake.lines.size() >= line_buffer_cap) {
-        intake.cv.wait(lock.native());
-      }
-      intake.lines.push_back(std::move(line));
+  // Input: one read (at most 64 KiB) per readiness, so the fd can stay
+  // blocking; complete lines wait in `queued` until the router has room.
+  net::LineFramer framer;
+  std::deque<std::string> queued;
+  bool input_done = false;
+  loop.add_fd(in_fd, net::EventLoop::kRead, [&](std::uint32_t) {
+    char buf[64 * 1024];
+    const ssize_t n = ::read(in_fd, buf, sizeof buf);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) return;
+    if (n > 0) {
+      framer.feed(buf, static_cast<std::size_t>(n));
+    } else {
+      // EOF (or a read error): a last line without its newline counts.
+      if (framer.partial_bytes() > 0) framer.feed("\n", 1);
+      input_done = true;
+      loop.remove_fd(in_fd);
     }
-    util::MutexLock lock(intake.mutex);
-    intake.input_done = true;
+    for (auto& line : framer.take_lines()) queued.push_back(std::move(line));
   });
 
-  // One write + one flush per pump round, not per line: a round that
+  // One write + one flush per batch of lines, not per line: a pass that
   // completes a burst of shard replies leaves as a single syscall (the
   // stream-mode reader on the other side splits on newlines anyway).
   std::string emit_buffer;
@@ -509,49 +496,23 @@ int main(int argc, char** argv) {
   bool front_error = false;  ///< error lines the front door produced itself
   std::string bye_id;        ///< shutdown ack id; emitted after the drain
   bool saw_shutdown_cmd = false;
-
   std::size_t line_no = 0;
-  auto next_metrics_refresh = std::chrono::steady_clock::now();
-  for (;;) {
-    if (g_signal && intake_open) {
-      intake_open = false;  // drain what was accepted, then leave
-      util::log_info() << "signal received, draining";
-    }
 
-    if (metrics_server &&
-        std::chrono::steady_clock::now() >= next_metrics_refresh) {
-      std::string rendered = render_fleet_metrics(router, supervisor);
-      {
-        util::MutexLock lock(metrics_pub.mutex);
-        metrics_pub.payload = std::move(rendered);
-      }
-      next_metrics_refresh =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
-    }
-
-    // Ingest as much input as backpressure allows, intercepting the
-    // fleet-management control lines the router must not see.
-    bool done;
-    for (;;) {
-      std::string line;
-      {
-        util::MutexLock lock(intake.mutex);
-        done = (intake.input_done && intake.lines.empty()) || !intake_open;
-        if (!intake_open || intake.lines.empty() ||
-            router.total_pending() >= high_water) {
-          break;
-        }
-        line = std::move(intake.lines.front());
-        intake.lines.pop_front();
-      }
-      intake.cv.notify_one();
+  // Routes queued input while the router has room, intercepting the
+  // fleet-management control lines the router must not see; then reads
+  // more input only if every queued line was taken.
+  const auto ingest = [&] {
+    while (intake_open && !queued.empty() &&
+           router.total_pending() < high_water) {
+      std::string line = std::move(queued.front());
+      queued.pop_front();
       ++line_no;
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
 
-      // Fleet-management control lines (reshard/shutdown/export_warm/
-      // import_warm) are handled here; ping/drain and job lines flow to
-      // the router. The substring test only gates the extra parse —
-      // false positives cost one parse_json, nothing else.
+      // Fleet-management control lines (reshard/shutdown/stats/
+      // export_warm/import_warm) are handled here; ping/drain and job
+      // lines flow to the router. The substring test only gates the extra
+      // parse — false positives cost one parse_json, nothing else.
       if (line.find("\"cmd\"") != std::string::npos) {
         std::string cmd_id = "job" + std::to_string(line_no);
         try {
@@ -561,10 +522,10 @@ int main(int argc, char** argv) {
           }
           const auto cmd = service::control_cmd(parsed);
           if (cmd && *cmd == "shutdown") {
-            intake_open = false;
+            intake_open = false;  // shutdown certifies the past only
             saw_shutdown_cmd = true;
             bye_id = cmd_id;
-            break;  // stop intake mid-buffer: shutdown certifies the past
+            break;
           }
           if (cmd && *cmd == "reshard") {
             const auto* shards = parsed.find("shards");
@@ -586,8 +547,8 @@ int main(int argc, char** argv) {
           }
           if (cmd && *cmd == "stats") {
             // Fleet snapshot: the supervisor probes every live shard and a
-            // later pump() emits one {"id":...,"fleet":{...}} line once all
-            // replies land (or the 2 s deadline passes).
+            // later pump() hands over one {"id":...,"fleet":{...}} line
+            // once all replies land (or the 2 s deadline passes).
             supervisor.request_fleet_stats(cmd_id);
             continue;
           }
@@ -607,16 +568,21 @@ int main(int argc, char** argv) {
       }
       emit(router.accept_line(line, line_no));
     }
+    const bool room = intake_open && queued.empty() &&
+                      router.total_pending() < high_water;
+    loop.set_interest(in_fd, room ? net::EventLoop::kRead : 0);
+  };
 
-    emit(supervisor.pump(2));
-
-    // With no live shard and none respawning there is no pollable fd, so
-    // pump returns immediately; sleep instead of spinning.
-    if (router.live_shards() == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  for (;;) {
+    if (g_signal && intake_open) {
+      intake_open = false;  // drain what was accepted, then leave
+      util::log_info() << "signal received, draining";
     }
-
+    ingest();
+    emit(supervisor.pump());
+    const bool done = !intake_open || (input_done && queued.empty());
     if (done && router.idle()) break;
+    loop.run_once(-1);
   }
 
   if (saw_shutdown_cmd) {
@@ -625,13 +591,13 @@ int main(int argc, char** argv) {
     emit({bye.str()});
   }
 
-  // Graceful fleet teardown: shutdown control lines + stdin EOF, wait for
-  // the children's own exits, reap — SIGKILL only on an overstay.
-  metrics_server.reset();  // last scrape before the fleet state goes away
+  // Graceful fleet teardown: shutdown control lines + stdin EOF, run the
+  // loop until the children close their output, reap — SIGKILL only on an
+  // overstay. Scrapes are still answered meanwhile; input is not read.
+  loop.remove_fd(in_fd);
   supervisor.shutdown_fleet();
-  emit(supervisor.drain_deferred());
+  emit(supervisor.pump());
   out.flush();
-
   // Shutdown summary, always (Info level): the supervisor's respawn /
   // reconnect / abandonment counts are the operator's only post-mortem
   // when a fleet limped. --stats adds the per-shard routing breakdown.
@@ -659,17 +625,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int code = (router.any_error() || front_error) ? 1 : 0;
-  // The reader thread may still be parked in getline on an open stdin
-  // (signal/shutdown path). Joining would hang; exiting without static
-  // teardown is safe — everything worth flushing was flushed above.
-  {
-    util::MutexLock lock(intake.mutex);
-    if (!intake.input_done) {
-      std::fflush(nullptr);
-      std::_Exit(code);
-    }
-  }
-  reader.join();
-  return code;
+  g_loop = nullptr;  // the loop dies with this frame
+  return (router.any_error() || front_error) ? 1 : 0;
 }
