@@ -42,7 +42,7 @@ struct SlicePlan {
 /// scalar run_batch contract: lane r runs Xoshiro256pp(derive_seed(base,
 /// r)); warm lanes start from seeds[r] with an untouched stream, cold
 /// lanes draw their ±1 start from it (PBitMachine::random_state order);
-/// energies are the dense model.energy of the start state, matching
+/// energies are the from-scratch model.energy of the start state, matching
 /// LocalFieldState::reset.
 SlicePlan make_slice_plan(const ising::IsingModel& model, std::uint64_t base,
                           std::size_t replicas,

@@ -1,13 +1,14 @@
 // Sparse sweep view of an IsingModel: the compressed-sparse-row couplings
 // of J plus the per-spin column view of the penalty block's rows A.
 //
-// The dense IsingModel rows make model construction simple, but Monte-Carlo
-// sweeps only need each spin's nonzero neighbours. For the paper's QKP
-// instances with density 0.25-0.5 a CSR scan does 2-4x less memory traffic
-// per sweep. The penalty P ||Ax - b||^2 is never expanded into couplings:
-// a spin's share of it is read through its column of A (the rows r with
-// a_ri != 0) and the row activities S_r = sum_j a_rj m_j, so a Lagrangian
-// model with a linear objective has no CSR edges at all. Both views are
+// IsingModel keeps each coupling once (in row min(i, j)); a Monte-Carlo
+// sweep instead wants every spin's full neighbour list in one contiguous
+// run, so the CSR stores both directions, filled in O(n + nnz(J)) from
+// ascending for_each_coupling walks. The penalty P ||Ax - b||^2 is never
+// expanded into couplings: a spin's share of it is read through its column
+// of A (the rows r with a_ri != 0) and the row activities
+// S_r = sum_j a_rj m_j, so a Lagrangian model with a linear objective has
+// no CSR edges at all. Both views are
 // built once per SAIM run: lambda updates change only the fields h (see
 // lagrange/lagrangian_model.hpp), never J or A.
 #pragma once

@@ -17,7 +17,7 @@
 
 namespace saim::ising {
 
-/// QUBO -> Ising, energy-preserving (H(m(x)) == E(x)).
+/// QUBO -> Ising, energy-preserving (H(m(x)) == E(x)). O(n + nnz(Q)).
 IsingModel qubo_to_ising(const QuboModel& qubo);
 
 /// Ising -> QUBO, energy-preserving (E(x(m)) == H(m)). A penalty block
@@ -29,12 +29,5 @@ Spins bits_to_spins(std::span<const std::uint8_t> x);
 
 /// m -> x with x_i = (m_i + 1)/2.
 Bits spins_to_bits(std::span<const std::int8_t> m);
-
-/// Refreshes only the Ising fields/offset from updated QUBO linear terms,
-/// assuming couplings are unchanged. This is the cheap path SAIM uses after
-/// a lambda update: the Lagrange term lambda^T g(x) is linear in x, so only
-/// q and c move, hence only h and the offset move. O(n^2) worst case but no
-/// reallocation; with precomputed row sums it is O(n) per changed entry.
-void refresh_fields_from_qubo(const QuboModel& qubo, IsingModel& ising);
 
 }  // namespace saim::ising

@@ -7,7 +7,7 @@
 namespace saim::ising {
 
 IsingModel::IsingModel(std::size_t n)
-    : n_(n), coupling_(n * n, 0.0), field_(n, 0.0) {}
+    : n_(n), couplings_(n), field_(n, 0.0) {}
 
 void IsingModel::check_index(std::size_t i) const {
   if (i >= n_) {
@@ -24,15 +24,13 @@ void IsingModel::add_coupling(std::size_t i, std::size_t j, double v) {
     offset_ -= v;
     return;
   }
-  coupling_[i * n_ + j] += v;
-  coupling_[j * n_ + i] += v;
+  couplings_.add(i, j, v);
 }
 
 double IsingModel::coupling(std::size_t i, std::size_t j) const {
   check_index(i);
   check_index(j);
-  if (i == j) return 0.0;
-  return coupling_[i * n_ + j];
+  return i == j ? 0.0 : couplings_.get(i, j);
 }
 
 void IsingModel::add_field(std::size_t i, double v) {
@@ -48,11 +46,6 @@ void IsingModel::set_field(std::size_t i, double v) {
 double IsingModel::field(std::size_t i) const {
   check_index(i);
   return field_[i];
-}
-
-std::span<const double> IsingModel::row(std::size_t i) const {
-  check_index(i);
-  return {coupling_.data() + i * n_, n_};
 }
 
 void IsingModel::set_penalty(double p) {
@@ -110,10 +103,9 @@ double IsingModel::energy(std::span<const std::int8_t> m) const {
   for (std::size_t i = 0; i < n_; ++i) {
     const auto mi = static_cast<double>(m[i]);
     e -= field_[i] * mi;
-    const double* r = coupling_.data() + i * n_;
     double acc = 0.0;
-    for (std::size_t j = i + 1; j < n_; ++j) {
-      acc += r[j] * static_cast<double>(m[j]);
+    for (const auto& [j, v] : couplings_.row(i)) {
+      acc += v * static_cast<double>(m[j]);
     }
     e -= mi * acc;
   }
@@ -129,10 +121,13 @@ double IsingModel::energy(std::span<const std::int8_t> m) const {
 }
 
 double IsingModel::input(std::span<const std::int8_t> m, std::size_t i) const {
+  // Column i (J_ki lives in row k < i), then row i: ascending j.
   double acc = field_[i];
-  const double* r = coupling_.data() + i * n_;
-  for (std::size_t j = 0; j < n_; ++j) {
-    acc += r[j] * static_cast<double>(m[j]);
+  for (std::size_t k = 0; k < i; ++k) {
+    acc += couplings_.get(k, i) * static_cast<double>(m[k]);
+  }
+  for (const auto& [j, v] : couplings_.row(i)) {
+    acc += v * static_cast<double>(m[j]);
   }
   if (row_sq_.empty()) return acc;
   double pen = 0.0;
@@ -153,17 +148,6 @@ double IsingModel::flip_delta(std::span<const std::int8_t> m,
   // H contains -m_i * I_i (with I_i independent of m_i); flipping m_i
   // changes H by 2 m_i I_i.
   return 2.0 * static_cast<double>(m[i]) * input(m, i);
-}
-
-std::size_t IsingModel::nnz() const noexcept {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double* r = coupling_.data() + i * n_;
-    for (std::size_t j = i + 1; j < n_; ++j) {
-      if (r[j] != 0.0) ++count;
-    }
-  }
-  return count;
 }
 
 IsingModel expand_penalty(const IsingModel& model) {

@@ -12,7 +12,8 @@
 // a lambda update still touches only h and the offset.
 //
 // The p-bit machine (src/pbit) minimizes H by Gibbs sampling from
-// exp(-beta * H). J is stored densely (symmetric), mirroring QuboModel.
+// exp(-beta * H). J is held sparsely in the same layout as QuboModel's Q
+// (ising/couplings.hpp), so a model costs O(n + nnz(J) + nnz(A)) memory.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +21,8 @@
 #include <span>
 #include <utility>
 #include <vector>
+
+#include "ising/couplings.hpp"
 
 namespace saim::ising {
 
@@ -38,7 +41,8 @@ class IsingModel {
 
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
 
-  /// Accumulates into the symmetric coupling J_ij (i != j).
+  /// Accumulates into the symmetric coupling J_ij. A diagonal term
+  /// (i == j) is the constant -v in H, since m_i^2 == 1.
   void add_coupling(std::size_t i, std::size_t j, double v);
   [[nodiscard]] double coupling(std::size_t i, std::size_t j) const;
 
@@ -53,9 +57,6 @@ class IsingModel {
   void add_offset(double v) noexcept { offset_ += v; }
   [[nodiscard]] double offset() const noexcept { return offset_; }
   void set_offset(double v) noexcept { offset_ = v; }
-
-  /// Contiguous row i of J (length n, zero diagonal).
-  [[nodiscard]] std::span<const double> row(std::size_t i) const;
 
   /// P of the penalty block (>= 0).
   void set_penalty(double p);
@@ -79,11 +80,13 @@ class IsingModel {
   [[nodiscard]] double activity(std::span<const std::int8_t> m,
                                 std::size_t r) const;
 
-  /// Full Hamiltonian H(m), penalty block included. O(n^2 + nnz(A)).
+  /// Full Hamiltonian H(m), penalty block included. O(n + nnz(J) + nnz(A)).
   [[nodiscard]] double energy(std::span<const std::int8_t> m) const;
 
   /// p-bit input I_i = sum_j J_ij m_j + h_i - (P/2) sum_{r∋i} a_ri
-  /// (S_r - a_ri m_i)  (paper eq. 9 with the block), from scratch.
+  /// (S_r - a_ri m_i)  (paper eq. 9 with the block), from scratch, summing
+  /// J_ij m_j in ascending j. The reference the parity suites check every
+  /// sweep engine against; O(i log n + deg(i)) for J plus O(nnz(A)).
   [[nodiscard]] double input(std::span<const std::int8_t> m,
                              std::size_t i) const;
 
@@ -92,24 +95,19 @@ class IsingModel {
                                   std::size_t i) const;
 
   /// Nonzero couplings of J (the penalty block is not counted).
-  [[nodiscard]] std::size_t nnz() const noexcept;
+  [[nodiscard]] std::size_t nnz() const noexcept { return couplings_.nnz(); }
 
   /// Calls f(i, j, J_ij) for every nonzero J coupling with i < j.
   template <typename F>
   void for_each_coupling(F&& f) const {
-    for (std::size_t i = 0; i < n_; ++i) {
-      const double* r = coupling_.data() + i * n_;
-      for (std::size_t j = i + 1; j < n_; ++j) {
-        if (r[j] != 0.0) f(i, j, r[j]);
-      }
-    }
+    couplings_.for_each(std::forward<F>(f));
   }
 
  private:
   void check_index(std::size_t i) const;
 
   std::size_t n_ = 0;
-  std::vector<double> coupling_;  ///< n*n symmetric, zero diagonal
+  SparseCouplings couplings_;
   std::vector<double> field_;
   double offset_ = 0.0;
 
@@ -120,7 +118,7 @@ class IsingModel {
 };
 
 /// The reference form of a penalty model: the same H with the block folded
-/// into dense couplings J_ij -= (P/2) a_ri a_rj and no block. For tests and
+/// into couplings J_ij -= (P/2) a_ri a_rj and no block. For tests and
 /// benchmarks; no solver path uses it.
 [[nodiscard]] IsingModel expand_penalty(const IsingModel& model);
 

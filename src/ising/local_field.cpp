@@ -8,7 +8,7 @@ void LocalFieldState::reset(const Spins& m) {
     coupling_in_[i] = adjacency_->coupling_input(m, i);
   }
   adjacency_->activities(m, activity_);
-  // The dense evaluation reproduces, bit for bit, the energy every
+  // The from-scratch evaluation reproduces, bit for bit, the energy every
   // pre-engine backend computed at run start, so trajectories stay
   // identical to the recompute era on arbitrary (non-dyadic) models too.
   // (An O(n) form exists — H = offset - 0.5 sum m_i C_i - sum h_i m_i —

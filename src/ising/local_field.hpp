@@ -12,7 +12,7 @@
 // as persistent state:
 //
 //   * reset(m)  rebuilds C[] and S[] in O(sum deg + nnz(A)) (plus one
-//     dense energy evaluation) — once per run, not once per visit;
+//     from-scratch energy evaluation) — once per run, not once per visit;
 //   * field(m,i) reads C_i + h_i and adds the penalty share from spin i's
 //     column of A in O(nnz(A[:,i]));
 //   * flip(m,i) flips spin i and pushes the change to its J neighbours'
@@ -56,9 +56,10 @@ class LocalFieldState {
   [[nodiscard]] std::size_t n() const noexcept { return coupling_in_.size(); }
 
   /// Rebuilds the coupling inputs and row activities (O(sum deg +
-  /// nnz(A))) and the tracked energy (one dense O(n^2) evaluation, kept
-  /// bit-compatible with the pre-engine backends). Call once per run (or
-  /// after externally replacing the state, e.g. a restart).
+  /// nnz(A))) and the tracked energy (one IsingModel::energy evaluation,
+  /// O(n + nnz(J) + nnz(A)), kept bit-compatible with the pre-engine
+  /// backends). Call once per run (or after externally replacing the
+  /// state, e.g. a restart).
   void reset(const Spins& m);
 
   /// p-bit input I_i for the state `m` last synced via reset()/flip().

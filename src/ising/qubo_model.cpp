@@ -7,7 +7,7 @@
 namespace saim::ising {
 
 QuboModel::QuboModel(std::size_t n)
-    : n_(n), coupling_(n * n, 0.0), linear_(n, 0.0) {}
+    : n_(n), couplings_(n), linear_(n, 0.0) {}
 
 void QuboModel::check_index(std::size_t i) const {
   if (i >= n_) {
@@ -19,11 +19,6 @@ void QuboModel::check_index(std::size_t i) const {
 void QuboModel::add_linear(std::size_t i, double v) {
   check_index(i);
   linear_[i] += v;
-}
-
-void QuboModel::set_linear(std::size_t i, double v) {
-  check_index(i);
-  linear_[i] = v;
 }
 
 double QuboModel::linear(std::size_t i) const {
@@ -39,20 +34,13 @@ void QuboModel::add_quadratic(std::size_t i, std::size_t j, double v) {
     linear_[i] += v;
     return;
   }
-  coupling_[i * n_ + j] += v;
-  coupling_[j * n_ + i] += v;
+  couplings_.add(i, j, v);
 }
 
 double QuboModel::quadratic(std::size_t i, std::size_t j) const {
   check_index(i);
   check_index(j);
-  if (i == j) return 0.0;
-  return coupling_[i * n_ + j];
-}
-
-std::span<const double> QuboModel::row(std::size_t i) const {
-  check_index(i);
-  return {coupling_.data() + i * n_, n_};
+  return i == j ? 0.0 : couplings_.get(i, j);
 }
 
 double QuboModel::energy(std::span<const std::uint8_t> x) const {
@@ -60,39 +48,11 @@ double QuboModel::energy(std::span<const std::uint8_t> x) const {
   for (std::size_t i = 0; i < n_; ++i) {
     if (!x[i]) continue;
     e += linear_[i];
-    const double* r = coupling_.data() + i * n_;
-    for (std::size_t j = i + 1; j < n_; ++j) {
-      if (x[j]) e += r[j];
+    for (const auto& [j, q] : couplings_.row(i)) {
+      if (x[j]) e += q;
     }
   }
   return e;
-}
-
-double QuboModel::local_field(std::span<const std::uint8_t> x,
-                              std::size_t i) const {
-  double field = linear_[i];
-  const double* r = coupling_.data() + i * n_;
-  for (std::size_t j = 0; j < n_; ++j) {
-    field += r[j] * static_cast<double>(x[j]);
-  }
-  return field;
-}
-
-double QuboModel::flip_delta(std::span<const std::uint8_t> x,
-                             std::size_t i) const {
-  const double sign = x[i] ? -1.0 : 1.0;
-  return sign * local_field(x, i);
-}
-
-std::size_t QuboModel::nnz() const noexcept {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double* r = coupling_.data() + i * n_;
-    for (std::size_t j = i + 1; j < n_; ++j) {
-      if (r[j] != 0.0) ++count;
-    }
-  }
-  return count;
 }
 
 double QuboModel::density() const noexcept {
@@ -103,8 +63,7 @@ double QuboModel::density() const noexcept {
 }
 
 double QuboModel::max_abs_coefficient() const noexcept {
-  double m = 0.0;
-  for (const double v : coupling_) m = std::max(m, std::abs(v));
+  double m = couplings_.max_abs();
   for (const double v : linear_) m = std::max(m, std::abs(v));
   return m;
 }

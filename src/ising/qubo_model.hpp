@@ -4,16 +4,17 @@
 //
 // This is the binary-variable view the paper's energies are written in
 // (eq. 3 and eq. 5); the p-bit machine consumes its ±1 (Ising) image via
-// ising/convert.hpp. Problem sizes here are a few hundred variables
-// (N=100..300 plus ~10 slack bits), so couplings are stored densely as a
-// full symmetric matrix: row access during Monte-Carlo sweeps is then a
-// contiguous scan, which beats sparse formats below ~10^3 variables.
+// ising/convert.hpp. Q is held sparsely (ising/couplings.hpp), so a model
+// costs O(n + nnz(Q)) memory and every walk over it O(n + nnz(Q)).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
+
+#include "ising/couplings.hpp"
 
 namespace saim::ising {
 
@@ -28,18 +29,14 @@ class QuboModel {
 
   /// Accumulates into the linear coefficient q_i.
   void add_linear(std::size_t i, double v);
-  void set_linear(std::size_t i, double v);
   [[nodiscard]] double linear(std::size_t i) const;
   [[nodiscard]] std::span<const double> linear_terms() const noexcept {
     return linear_;
   }
-  [[nodiscard]] std::span<double> mutable_linear_terms() noexcept {
-    return linear_;
-  }
 
-  /// Accumulates into the symmetric coupling Q_ij (i != j). The value `v`
-  /// is the full coefficient of the product x_i x_j; internally both (i,j)
-  /// and (j,i) halves are kept so that row scans see every neighbour.
+  /// Accumulates into the symmetric coupling Q_ij. The value `v` is the
+  /// full coefficient of the product x_i x_j; a diagonal term (i == j)
+  /// joins q_i, since x_i^2 == x_i.
   void add_quadratic(std::size_t i, std::size_t j, double v);
   [[nodiscard]] double quadratic(std::size_t i, std::size_t j) const;
 
@@ -47,23 +44,11 @@ class QuboModel {
   void set_offset(double v) noexcept { offset_ = v; }
   [[nodiscard]] double offset() const noexcept { return offset_; }
 
-  /// Contiguous row i of the symmetric coupling matrix (length n).
-  [[nodiscard]] std::span<const double> row(std::size_t i) const;
-
-  /// Full energy E(x). O(n^2).
+  /// Full energy E(x). O(n + nnz).
   [[nodiscard]] double energy(std::span<const std::uint8_t> x) const;
 
-  /// Energy change of flipping bit i from configuration x. O(n):
-  ///   dE = (1 - 2 x_i) * (q_i + sum_j Q_ij x_j).
-  [[nodiscard]] double flip_delta(std::span<const std::uint8_t> x,
-                                  std::size_t i) const;
-
-  /// Local field q_i + sum_j Q_ij x_j (the gradient of E w.r.t. x_i).
-  [[nodiscard]] double local_field(std::span<const std::uint8_t> x,
-                                   std::size_t i) const;
-
   /// Number of strictly-upper-triangle nonzero couplings.
-  [[nodiscard]] std::size_t nnz() const noexcept;
+  [[nodiscard]] std::size_t nnz() const noexcept { return couplings_.nnz(); }
 
   /// Coupling density d = nnz / (n(n-1)/2); the paper's penalty heuristic
   /// P = alpha * d * N uses this quantity.
@@ -75,19 +60,14 @@ class QuboModel {
   /// Calls f(i, j, Q_ij) for every nonzero coupling with i < j.
   template <typename F>
   void for_each_quadratic(F&& f) const {
-    for (std::size_t i = 0; i < n_; ++i) {
-      const double* r = coupling_.data() + i * n_;
-      for (std::size_t j = i + 1; j < n_; ++j) {
-        if (r[j] != 0.0) f(i, j, r[j]);
-      }
-    }
+    couplings_.for_each(std::forward<F>(f));
   }
 
  private:
   void check_index(std::size_t i) const;
 
   std::size_t n_ = 0;
-  std::vector<double> coupling_;  ///< n*n row-major symmetric, zero diagonal
+  SparseCouplings couplings_;
   std::vector<double> linear_;
   double offset_ = 0.0;
 };

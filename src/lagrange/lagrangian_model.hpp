@@ -29,8 +29,8 @@ namespace saim::lagrange {
 
 class LagrangianModel {
  public:
-  /// Builds the lambda = 0 landscape: f + P ||g||^2. Lowering f scans its
-  /// dense storage once (O(n^2)); the penalty costs O(nnz(A)). The problem
+  /// Builds the lambda = 0 landscape: f + P ||g||^2. Lowering f costs
+  /// O(n + nnz(Q_f)); the penalty costs O(nnz(A)). The problem
   /// reference must outlive the model.
   LagrangianModel(const problems::ConstrainedProblem& problem, double penalty);
 

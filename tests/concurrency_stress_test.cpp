@@ -168,13 +168,17 @@ TEST(ConcurrencyStress, MetricsRegistryConcurrentRegisterRecordScrape) {
   obs::MetricsRegistry registry;
   constexpr std::uint64_t kAddsPerThread = 5000;
   std::atomic<bool> stop_scraping{false};
+  // Set once some recorder's first get-or-create has returned; until then
+  // the exposition may legitimately be empty.
+  std::atomic<bool> registered{false};
 
   // All threads get-or-create the SAME metrics concurrently — the handles
   // they get back must alias one underlying object.
   std::vector<std::thread> recorders;
   for (std::size_t t = 0; t < kThreads; ++t) {
-    recorders.emplace_back([&registry, t] {
+    recorders.emplace_back([&registry, &registered, t] {
       obs::Counter& hits = registry.counter("stress_hits");
+      registered.store(true, std::memory_order_release);
       obs::Histogram& lat = registry.histogram("stress_latency_ms");
       obs::Gauge& depth = registry.gauge("stress_depth");
       for (std::uint64_t i = 0; i < kAddsPerThread; ++i) {
@@ -189,12 +193,17 @@ TEST(ConcurrencyStress, MetricsRegistryConcurrentRegisterRecordScrape) {
     });
   }
 
-  // Scrape concurrently with registration and recording: the exposition
-  // must always be well-formed (non-empty, every header paired).
+  // Scrape concurrently with registration and recording: once a metric
+  // exists, the exposition must be well-formed (non-empty, every header
+  // paired). The flag is read before rendering, so a true read means the
+  // render saw at least one metric.
   std::thread scraper([&] {
     while (!stop_scraping.load(std::memory_order_relaxed)) {
+      const bool any = registered.load(std::memory_order_acquire);
       const std::string payload = registry.render_prometheus();
-      EXPECT_NE(payload.find("# TYPE"), std::string::npos);
+      if (any) {
+        EXPECT_NE(payload.find("# TYPE"), std::string::npos);
+      }
       (void)registry.names();
       (void)registry.histogram_snapshot("stress_latency_ms");
       std::this_thread::yield();

@@ -25,7 +25,6 @@ TEST(EdgeCases, SingleVariableQubo) {
   q.add_linear(0, -2.0);
   EXPECT_DOUBLE_EQ(q.energy(ising::Bits{1}), -2.0);
   EXPECT_DOUBLE_EQ(q.energy(ising::Bits{0}), 0.0);
-  EXPECT_DOUBLE_EQ(q.flip_delta(ising::Bits{0}, 0), -2.0);
   EXPECT_EQ(q.nnz(), 0u);
   EXPECT_DOUBLE_EQ(q.density(), 0.0);
 }

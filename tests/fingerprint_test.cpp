@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "problems/mkp.hpp"
+#include "problems/portfolio.hpp"
 #include "problems/qkp.hpp"
 #include "service/solve_service.hpp"
 
@@ -76,6 +77,28 @@ TEST(Fingerprint, QkpAndMkpDiffer) {
   const auto mkp = problems::make_paper_mkp(30, 5, 1);
   EXPECT_NE(problems::fingerprint(qkp_problem()),
             problems::fingerprint(problems::mkp_to_problem(mkp).problem));
+}
+
+// Absolute keys, recorded when the couplings were still stored as dense
+// n*n arrays. A fingerprint is the result-cache key and the shard routing
+// key, so a change to how models store or walk their couplings must leave
+// these values where they are.
+TEST(Fingerprint, GoldenKeysArePinned) {
+  const auto qkp_instance = problems::make_paper_qkp(100, 25, 1);
+  const auto qkp = problems::qkp_to_problem(qkp_instance).problem;
+  EXPECT_EQ(problems::fingerprint(qkp), 0xca5418b78ff38ffcULL);
+
+  const auto mkp_instance = problems::make_paper_mkp(100, 5, 1);
+  const auto mkp = problems::mkp_to_problem(mkp_instance).problem;
+  EXPECT_EQ(problems::fingerprint(mkp), 0x8f6178cda258a9baULL);
+
+  problems::PortfolioGeneratorParams params;
+  params.n = 40;
+  params.seed = 7;
+  const auto portfolio_instance = problems::generate_portfolio(params);
+  const auto portfolio =
+      problems::portfolio_to_problem(portfolio_instance).problem;
+  EXPECT_EQ(problems::fingerprint(portfolio), 0x8be3afc2b987f3d2ULL);
 }
 
 service::SolveRequest base_request() {

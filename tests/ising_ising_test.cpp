@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <tuple>
+#include <vector>
+
+#include "coupling_orders.hpp"
 #include "util/rng.hpp"
 
 namespace saim::ising {
@@ -77,30 +82,67 @@ TEST(IsingModel, NnzCountsUpperTriangle) {
   EXPECT_EQ(ising.nnz(), 2u);
 }
 
-// Property sweep: dH of a flip equals 2 m_i I_i and matches recomputation.
+// Property sweep: dH of a flip equals 2 m_i I_i and matches recomputation,
+// and the couplings added out of order (reversed or shuffled, each value
+// as two halves, plus a pair that cancels to 0) give the lexicographic
+// build's walk, nnz and bit-identical energies and flip deltas.
 class IsingFlipDelta : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(IsingFlipDelta, MatchesFullRecomputation) {
-  util::Xoshiro256pp rng(GetParam());
+IsingModel random_ising(std::uint64_t seed, BuildOrder order) {
+  util::Xoshiro256pp rng(seed);
   const std::size_t n = 2 + rng.below(14);
   IsingModel ising(n);
+  std::vector<PairTerm> lex;
   for (std::size_t i = 0; i < n; ++i) {
     ising.add_field(i, rng.uniform_sym() * 3.0);
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (rng.bernoulli(0.5)) {
-        ising.add_coupling(i, j, rng.uniform_sym() * 3.0);
+      // The last pair stays out: the out-of-order builds cancel it.
+      if (rng.bernoulli(0.5) && !(i == n - 2 && j == n - 1)) {
+        lex.push_back({i, j, rng.uniform_sym() * 3.0});
       }
     }
   }
-  Spins m(n);
-  for (auto& s : m) s = rng.bernoulli(0.5) ? 1 : -1;
+  for (const auto& t : in_order(lex, n, order, seed)) {
+    ising.add_coupling(t.i, t.j, t.v);
+  }
+  return ising;
+}
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const double base = ising.energy(m);
-    const double predicted = ising.flip_delta(m, i);
-    Spins w = m;
-    w[i] = static_cast<std::int8_t>(-w[i]);
-    EXPECT_NEAR(ising.energy(w) - base, predicted, 1e-9);
+std::vector<std::tuple<std::size_t, std::size_t, double>> walk(
+    const IsingModel& ising) {
+  std::vector<std::tuple<std::size_t, std::size_t, double>> out;
+  ising.for_each_coupling([&](std::size_t i, std::size_t j, double v) {
+    out.emplace_back(i, j, v);
+  });
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST_P(IsingFlipDelta, MatchesFullRecomputation) {
+  const std::uint64_t seed = GetParam();
+  const IsingModel ref = random_ising(seed, BuildOrder::kLexicographic);
+  for (const auto order : {BuildOrder::kLexicographic, BuildOrder::kReversed,
+                           BuildOrder::kShuffled}) {
+    SCOPED_TRACE(order);
+    const IsingModel ising = random_ising(seed, order);
+    const std::size_t n = ising.n();
+    EXPECT_EQ(walk(ising), walk(ref));
+    EXPECT_EQ(ising.nnz(), ref.nnz());
+
+    util::Xoshiro256pp rng(seed + 1000);
+    Spins m(n);
+    for (auto& s : m) s = rng.bernoulli(0.5) ? 1 : -1;
+
+    for (std::size_t i = 0; i < n; ++i) {
+      const double base = ising.energy(m);
+      const double predicted = ising.flip_delta(m, i);
+      EXPECT_EQ(bits(base), bits(ref.energy(m)));
+      EXPECT_EQ(bits(predicted), bits(ref.flip_delta(m, i)));
+      Spins w = m;
+      w[i] = static_cast<std::int8_t>(-w[i]);
+      EXPECT_NEAR(ising.energy(w) - base, predicted, 1e-9);
+    }
   }
 }
 

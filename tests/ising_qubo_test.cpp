@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <tuple>
+#include <vector>
+
+#include "coupling_orders.hpp"
 #include "util/rng.hpp"
 
 namespace saim::ising {
@@ -65,7 +70,6 @@ TEST(QuboModel, OutOfRangeThrows) {
   EXPECT_THROW(q.add_quadratic(0, 5, 1.0), std::out_of_range);
   EXPECT_THROW((void)q.linear(9), std::out_of_range);
   EXPECT_THROW((void)q.quadratic(0, 2), std::out_of_range);
-  EXPECT_THROW((void)q.row(2), std::out_of_range);
 }
 
 TEST(QuboModel, NnzAndDensity) {
@@ -91,15 +95,6 @@ TEST(QuboModel, MaxAbsCoefficient) {
   EXPECT_DOUBLE_EQ(q.max_abs_coefficient(), 9.0);
 }
 
-TEST(QuboModel, LocalFieldMatchesDefinition) {
-  QuboModel q(3);
-  q.add_linear(0, 1.0);
-  q.add_quadratic(0, 1, 2.0);
-  q.add_quadratic(0, 2, -3.0);
-  const Bits x = {0, 1, 1};
-  EXPECT_DOUBLE_EQ(q.local_field(x, 0), 1.0 + 2.0 - 3.0);
-}
-
 TEST(QuboModel, ForEachQuadraticVisitsUpperTriangle) {
   QuboModel q(3);
   q.add_quadratic(0, 2, 1.5);
@@ -114,38 +109,64 @@ TEST(QuboModel, ForEachQuadraticVisitsUpperTriangle) {
   EXPECT_EQ(visits, 2);
 }
 
-// Property sweep: flip_delta must equal the brute-force energy difference
-// on random dense models and random states.
-class QuboFlipDelta : public ::testing::TestWithParam<std::uint64_t> {};
+// Property sweep on random models: the couplings added out of order
+// (reversed or shuffled, each value as two halves, plus a pair that
+// cancels to 0) give the lexicographic build's walk, nnz, density and
+// bit-identical energies.
+class QuboBuildOrder : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(QuboFlipDelta, MatchesFullRecomputation) {
-  util::Xoshiro256pp rng(GetParam());
+QuboModel random_qubo(std::uint64_t seed, BuildOrder order) {
+  util::Xoshiro256pp rng(seed);
   const std::size_t n = 3 + rng.below(12);
   QuboModel q(n);
+  std::vector<PairTerm> lex;
   for (std::size_t i = 0; i < n; ++i) {
     q.add_linear(i, rng.uniform_sym() * 5.0);
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (rng.bernoulli(0.6)) {
-        q.add_quadratic(i, j, rng.uniform_sym() * 5.0);
+      // The last pair stays out: the out-of-order builds cancel it.
+      if (rng.bernoulli(0.6) && !(i == n - 2 && j == n - 1)) {
+        lex.push_back({i, j, rng.uniform_sym() * 5.0});
       }
     }
   }
   q.add_offset(rng.uniform_sym());
+  for (const auto& t : in_order(lex, n, order, seed)) {
+    q.add_quadratic(t.i, t.j, t.v);
+  }
+  return q;
+}
 
-  Bits x(n);
-  for (auto& b : x) b = rng.bernoulli(0.5) ? 1 : 0;
+std::vector<std::tuple<std::size_t, std::size_t, double>> walk(
+    const QuboModel& q) {
+  std::vector<std::tuple<std::size_t, std::size_t, double>> out;
+  q.for_each_quadratic([&](std::size_t i, std::size_t j, double v) {
+    out.emplace_back(i, j, v);
+  });
+  return out;
+}
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const double base = q.energy(x);
-    const double predicted = q.flip_delta(x, i);
-    Bits y = x;
-    y[i] ^= 1;
-    EXPECT_NEAR(q.energy(y) - base, predicted, 1e-9)
-        << "flip of bit " << i << " for seed " << GetParam();
+TEST_P(QuboBuildOrder, MatchesLexicographicBuild) {
+  const std::uint64_t seed = GetParam();
+  const QuboModel ref = random_qubo(seed, BuildOrder::kLexicographic);
+  for (const auto order : {BuildOrder::kReversed, BuildOrder::kShuffled}) {
+    SCOPED_TRACE(order);
+    const QuboModel q = random_qubo(seed, order);
+    EXPECT_EQ(walk(q), walk(ref));
+    EXPECT_EQ(q.nnz(), ref.nnz());
+    EXPECT_EQ(q.density(), ref.density());
+    EXPECT_EQ(q.max_abs_coefficient(), ref.max_abs_coefficient());
+
+    util::Xoshiro256pp rng(seed + 1000);
+    Bits x(q.n());
+    for (int trial = 0; trial < 16; ++trial) {
+      for (auto& b : x) b = rng.bernoulli(0.5) ? 1 : 0;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(q.energy(x)),
+                std::bit_cast<std::uint64_t>(ref.energy(x)));
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomModels, QuboFlipDelta,
+INSTANTIATE_TEST_SUITE_P(RandomModels, QuboBuildOrder,
                          ::testing::Range<std::uint64_t>(0, 20));
 
 }  // namespace
